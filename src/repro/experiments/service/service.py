@@ -223,24 +223,23 @@ class CampaignService:
                 new_specs[key] = spec
         cached: Dict[str, RunRecord] = {}
         if self.result_cache is not None:
-            for key, spec in list(new_specs.items()):
+            for key, spec in new_specs.items():
                 record = self.result_cache.get(spec)
                 if record is not None:
                     cached[key] = record
-                    del new_specs[key]
         # Atomic backpressure check before anything is journaled.
-        self.queue.submit(list(new_specs))
+        self.queue.submit([key for key in new_specs if key not in cached])
+        # Queued and cache-settled specs interleave in submission order,
+        # so report() order never depends on what the cache holds.
         for key, spec in new_specs.items():
+            record = cached.get(key)
+            if record is not None:
+                spec = record.spec
             self._specs[key] = spec
             self._order.append(key)
             self.journal.record_queued(key, spec)
-            accepted.append(key)
-        for key, record in cached.items():
-            spec = record.spec
-            self._specs[key] = spec
-            self._order.append(key)
-            self.journal.record_queued(key, spec)
-            self._settle_record(key, record)
+            if record is not None:
+                self._settle_record(key, record)
             accepted.append(key)
         if self._telemetry is not None and accepted:
             self._telemetry.campaign_started(

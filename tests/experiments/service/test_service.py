@@ -50,6 +50,32 @@ def test_batch_run_matches_the_serial_campaign(tmp_path):
     assert [r.spec.seed for r in report.records] == [0, 1, 2]
 
 
+def test_partly_warm_cache_keeps_submission_order(tmp_path):
+    """Cache hits settle in submission order, not after the queued specs,
+    so the report order matches a serial run whatever the cache holds."""
+    from repro.analysis.purity import PurityManifest, ScenarioPurity
+    from repro.experiments.resultcache import ResultCache
+
+    manifest = PurityManifest({"exp4": ScenarioPurity(
+        "exp4", "experiment_4", "pure", slice_hash="stub")})
+    specs = [good_spec(seed=s) for s in range(4)]
+    cache = ResultCache(str(tmp_path / "cache"), manifest=manifest)
+    Campaign([specs[1], specs[3]], result_cache=cache).run()
+    service = make_service(tmp_path, result_cache=cache)
+    service.start()
+    try:
+        outcome = service.submit_specs(specs)
+        assert outcome["accepted"] == [spec_digest(s) for s in specs]
+        assert service.run_until_idle(timeout=120)
+    finally:
+        service.close()
+    report = service.report()
+    serial = Campaign(specs).run()
+    assert [r.spec for r in report.records] == [r.spec for r in serial.records]
+    assert [r.cache_hit for r in report.records] == [False, True, False, True]
+    assert report.payload_equal(serial)
+
+
 def test_submission_dedupes_by_content_address(tmp_path):
     service = make_service(tmp_path)
     service.start()
