@@ -9,7 +9,9 @@ root so future PRs have a perf trajectory to beat:
 * fast-forward vs per-bit engine on idle-heavy specs — identical result
   payloads, wall-clock speedup asserted >= 3x;
 * the long-window fast-path headline: ``restbus_baseline`` throughput in
-  steps/sec against the recorded pre-fast-path serial baseline (>= 10x).
+  steps/sec against the recorded pre-fast-path serial baseline (>= 10x);
+* the fight window: exp4 over the paper's 100k-bit recording window,
+  where replayed fight cycles must make the fast engine >= 2x per-bit.
 
 The parallel-speedup assertion only applies on multi-core hosts; a
 single-core container still records the numbers and checks determinism.
@@ -43,6 +45,8 @@ RECORDED_SERIAL_BASELINE = (
 FASTPATH_WINDOW_BITS = 500_000
 FASTPATH_TARGET_SPEEDUP = 10.0
 ENGINE_TARGET_SPEEDUP = 3.0
+FIGHT_WINDOW_BITS = 100_000
+FIGHT_TARGET_SPEEDUP = 2.0
 
 
 def campaign_specs(duration_bits=20_000, engine="fast"):
@@ -208,3 +212,48 @@ def test_fastpath_long_window(benchmark, quick):
     assert stats.fast_bits > duration // 2
     if baseline and not quick:
         assert ratio >= FASTPATH_TARGET_SPEEDUP
+
+
+def test_fastpath_fight_window(benchmark, quick):
+    """Replayed fight cycles: exp4 over the Table II window (the same size
+    in quick mode) runs at least 2x the per-bit engine, same result.
+
+    Engines alternate over two rounds and each keeps its best wall time.
+    """
+    def run(engine):
+        spec = ScenarioSpec("exp4", duration_bits=FIGHT_WINDOW_BITS,
+                            engine=engine)
+        setup = spec.build()
+        started = time.perf_counter()
+        result = setup.run(config=spec.run_config())
+        return setup.sim, result.to_dict(), time.perf_counter() - started
+
+    def rounds():
+        return [(run("bit"), run("fast")) for _ in range(2)]
+
+    outcomes = benchmark.pedantic(rounds, rounds=1, iterations=1)
+    bit_wall = min(bit[2] for bit, _ in outcomes)
+    fast_wall = min(fast[2] for _, fast in outcomes)
+    (_, bit_result, _), (sim, fast_result, _) = outcomes[0]
+    assert fast_result == bit_result
+    stats = sim.ff_stats.as_dict()
+    speedup = bit_wall / fast_wall
+    print(f"\nexp4 ff_stats: {json.dumps(stats, sort_keys=True)}")
+    if not quick:
+        _record("fight", {
+            "scenario": "exp4",
+            "duration_bits": FIGHT_WINDOW_BITS,
+            "bit_steps_per_second": round(FIGHT_WINDOW_BITS / bit_wall, 1),
+            "fast_steps_per_second": round(FIGHT_WINDOW_BITS / fast_wall, 1),
+            "speedup": round(speedup, 2),
+            "ff_stats": stats,
+        })
+    report("Fight window — replayed cycles vs per-bit", [
+        ("window (bits)", "-", FIGHT_WINDOW_BITS),
+        ("per-bit wall (s)", "-", f"{bit_wall:.2f}"),
+        ("fast wall (s)", "-", f"{fast_wall:.2f}"),
+        ("replayed cycles", "> 0", stats["replayed_segments"]),
+        ("speedup", f">= {FIGHT_TARGET_SPEEDUP}x", f"{speedup:.1f}x"),
+    ])
+    assert stats["replayed_segments"] > 0
+    assert speedup >= FIGHT_TARGET_SPEEDUP

@@ -31,6 +31,10 @@ from repro.errors import FrameError
 class Field(enum.Enum):
     """Fields of CAN 2.0A/2.0B data frames in wire order."""
 
+    # Identity hash: members are singletons compared by identity, and the
+    # per-bit dispatch/membership tests hash them millions of times.
+    __hash__ = object.__hash__
+
     SOF = "sof"
     ID = "id"                # base identifier (11 bits)
     SRR = "srr"              # substitute remote request (extended only)

@@ -32,6 +32,10 @@ EXTENDED_ID_BITS = 29
 class Verdict(enum.Enum):
     """Outcome of running the FSM over a (partial) CAN ID."""
 
+    # Identity hash: members are singletons compared by identity, and the
+    # per-bit dispatch/membership tests hash them millions of times.
+    __hash__ = object.__hash__
+
     PENDING = "pending"
     MALICIOUS = "malicious"
     BENIGN = "benign"

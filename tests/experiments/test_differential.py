@@ -7,6 +7,9 @@ summaries must match exactly; any divergence is a fast-path correctness
 bug (see the determinism contract in :mod:`repro.bus.fastforward`).
 """
 
+import enum
+import types
+
 import pytest
 
 from repro.experiments.campaign import ScenarioSpec, scenario_names
@@ -21,15 +24,50 @@ DURATION = 6_000
 SEEDS = (0, 1, 2)
 
 
-def _run(name, seed, engine, metrics=False):
-    from repro.experiments.campaign import execute_spec
-
-    spec = ScenarioSpec(name, params=dict(REQUIRED_PARAMS.get(name, {})),
-                        seed=seed, duration_bits=DURATION,
-                        metrics=metrics, engine=engine)
+def _run(name, seed, engine, metrics=False, duration=DURATION, params=None):
+    if params is None:
+        params = REQUIRED_PARAMS.get(name, {})
+    spec = ScenarioSpec(name, params=dict(params), seed=seed,
+                        duration_bits=duration, metrics=metrics,
+                        engine=engine)
     setup = spec.build()
     result = setup.run(config=spec.run_config())
     return setup.sim, result
+
+
+#: Engine-internal caches and back-references: not simulation state.
+_NOT_STATE = frozenset({"_no_enqueue_before", "_event_sink", "on_transition"})
+
+
+def _state(value, path=()):
+    """A node's full state as nested plain data.
+
+    Walks every attribute — controller fields, parser, fault confinement
+    (with its transition log), transmit queue (attempts, enqueue and
+    completion times), scheduler, bus-off counters and, for MichiCAN, the
+    firmware counters, detections log, FSM runners and pinmux.  Shared
+    objects are expanded wherever they appear; only the ancestors on the
+    current path are cut, so a replayed run that shares frame objects
+    compares equal to one that does not.
+    """
+    if isinstance(value, (int, float, str, bytes, type(None), enum.Enum)):
+        return value
+    if isinstance(value, (types.FunctionType, types.MethodType,
+                          types.BuiltinFunctionType)):
+        return value.__qualname__
+    if isinstance(value, (list, tuple)):
+        return [_state(item, path) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(repr(_state(item, path)) for item in value)
+    if isinstance(value, dict):
+        return [(repr(key), _state(item, path)) for key, item in value.items()]
+    if id(value) in path or not hasattr(value, "__dict__"):
+        return repr(value) if id(value) not in path else "<cycle>"
+    path = path + (id(value),)
+    return (type(value).__name__,
+            [(name, _state(item, path))
+             for name, item in sorted(vars(value).items())
+             if name not in _NOT_STATE])
 
 
 def _fingerprint(sim):
@@ -38,11 +76,8 @@ def _fingerprint(sim):
         "time": sim.time,
         "events": [repr(e) for e in sim.events],
         "history": list(sim.wire.history),
-        "level": sim.wire.level,
-        "node_states": {
-            node.name: (node.state.name, node.tec, node.rec)
-            for node in sim.nodes if hasattr(node, "state")
-        },
+        "wire": (sim.wire.total_bits, sim.wire.dominant_bits, sim.wire.level),
+        "nodes": {node.name: _state(node) for node in sim.nodes},
     }
 
 
@@ -144,3 +179,153 @@ def test_fast_engine_still_fast_forwards_with_snapshots():
     setup.sim.add_node(SnapshotRecorder(BusProbe(setup.sim), 1_000))
     setup.run(config=spec.run_config())
     assert setup.sim.ff_stats.fast_bits > DURATION // 4
+
+
+# ------------------------------------------------------- replayed cycles
+
+#: Long enough for several bus-off episodes, so fight cycles recur.
+LONG_WINDOW = 60_000
+
+FIGHTS = [
+    ("exp1", {}), ("exp2", {}), ("exp4", {}), ("exp5", {}), ("exp6", {}),
+    ("multi_attacker", {"num_attackers": 3}),
+]
+
+#: Three attackers rotate through fights with independent TEC/REC
+#: trajectories, so no exact state recurs within the window: the case
+#: checks exactness with the memo armed, not replays.
+NO_RECURRENCE = {"multi_attacker"}
+
+
+@pytest.mark.parametrize("name,params", FIGHTS,
+                         ids=[name for name, _ in FIGHTS])
+def test_long_window_fights_replay_exactly(name, params):
+    """Replayed cycles are invisible: events, wire and full node state
+    match the bit engine over windows where cycles recur."""
+    sim_fast, result_fast = _run(name, 0, "fast", duration=LONG_WINDOW,
+                                 params=params)
+    sim_bit, result_bit = _run(name, 0, "bit", duration=LONG_WINDOW,
+                               params=params)
+    assert _fingerprint(sim_fast) == _fingerprint(sim_bit)
+    assert result_fast.to_dict() == result_bit.to_dict()
+    stats = sim_fast.ff_stats
+    assert stats.recorded_segments > 0
+    if name not in NO_RECURRENCE:
+        assert stats.replayed_segments > 0
+        assert stats.replayed_bits > 0
+
+
+def _observed_fight(engine, attach, advance=None):
+    """exp4 over a window with replays, with ``attach(sim)`` wiring
+    observers first; returns (sim, whatever attach returned)."""
+    spec = ScenarioSpec("exp4", seed=0, duration_bits=20_000, engine=engine)
+    setup = spec.build()
+    attached = attach(setup.sim)
+    if advance is None:
+        setup.sim.advance(spec.duration_bits, policy=spec.run_config().policy())
+    else:
+        advance(setup.sim)
+    return setup.sim, attached
+
+
+def test_replay_safe_observers_keep_replaying():
+    """BusProbe and TraceCollector read event fields only: replay stays
+    on and their outputs match the bit engine."""
+    from repro.obs.probe import BusProbe
+    from repro.obs.tracing import TraceCollector
+
+    def attach(sim):
+        return BusProbe(sim), TraceCollector(sim)
+
+    outputs = {}
+    for engine in ("fast", "bit"):
+        sim, (probe, collector) = _observed_fight(engine, attach)
+        outputs[engine] = (_fingerprint(sim), probe.summary().to_dict(),
+                           [span.to_dict() for span in collector.finalize()])
+        if engine == "fast":
+            assert sim.ff_stats.replayed_segments > 0
+    assert outputs["fast"] == outputs["bit"]
+
+
+def test_flight_recorder_disables_replay():
+    """FlightRecorder samples live node state from its callback, so the
+    engine must not replay under it; its dump matches the bit engine."""
+    from repro.obs.flight import FlightRecorder
+
+    dumps = {}
+    fingerprints = {}
+    for engine in ("fast", "bit"):
+        sim, recorder = _observed_fight(
+            engine, lambda sim: FlightRecorder(sim, sample_every_bits=500))
+        dump = recorder.dump()
+        dump.pop("ff_stats")  # engine counters differ by construction
+        dumps[engine] = dump
+        fingerprints[engine] = _fingerprint(sim)
+        if engine == "fast":
+            assert sim.ff_stats.replayed_segments == 0
+    assert dumps["fast"] == dumps["bit"]
+    assert fingerprints["fast"] == fingerprints["bit"]
+
+
+def test_unmarked_listener_disables_replay():
+    """A plain lambda may read state or stop the run: no replay."""
+    def attach(sim):
+        events = []
+        sim.on_event(lambda event: events.append(event.time))
+        return events
+
+    results = {}
+    for engine in ("fast", "bit"):
+        sim, events = _observed_fight(engine, attach)
+        results[engine] = (_fingerprint(sim), events)
+        if engine == "fast":
+            assert sim.ff_stats.replayed_segments == 0
+    assert results["fast"] == results["bit"]
+
+
+def test_advance_until_never_replays():
+    """Predicates are evaluated between steps, so advance_until only
+    commits spans."""
+    from repro.bus.events import BusOffEntered
+
+    results = {}
+    for engine in ("fast", "bit"):
+        policy = "auto" if engine == "fast" else "off"
+        sim, _ = _observed_fight(
+            engine, lambda sim: None,
+            advance=lambda sim, p=policy: sim.advance_until(
+                lambda s: len(s.events_of(BusOffEntered)) >= 8, 20_000,
+                policy=p))
+        results[engine] = _fingerprint(sim)
+        if engine == "fast":
+            assert sim.ff_stats.replayed_segments == 0
+            assert sim.ff_stats.recorded_segments == 0
+    assert results["fast"] == results["bit"]
+
+
+def test_request_stop_listener_stops_where_the_bit_engine_does():
+    """A listener that stops the run must see it stop on the same bit."""
+    from repro.bus.events import BusOffEntered
+
+    def attach(sim):
+        def stop_on_third_busoff(event):
+            if (isinstance(event, BusOffEntered)
+                    and len(sim.events_of(BusOffEntered)) == 3):
+                sim.request_stop()
+        sim.on_event(stop_on_third_busoff)
+
+    results = {}
+    for engine in ("fast", "bit"):
+        sim, _ = _observed_fight(engine, attach)
+        results[engine] = _fingerprint(sim)
+        assert sim.time < 20_000  # the stop took effect
+        if engine == "fast":
+            assert sim.ff_stats.replayed_segments == 0
+    assert results["fast"] == results["bit"]
+
+
+def test_benign_restbus_never_arms_the_memo():
+    """No error frame, no keys: benign traffic pays nothing for replay."""
+    sim, _ = _run("restbus_baseline", 0, "fast")
+    assert sim.ff_stats.recorded_segments == 0
+    assert sim.ff_stats.replay_misses == 0
