@@ -22,7 +22,7 @@ from repro.core.config import EcuConfig
 from repro.core.detection import Detection, MichiCanFirmware
 from repro.core.fsm import DetectionFsm
 from repro.core.pinmux import PinMux
-from repro.node.controller import CanNode
+from repro.node.controller import CanNode, ControllerState
 from repro.node.scheduler import PeriodicScheduler
 
 
@@ -80,9 +80,8 @@ class MichiCanNode(CanNode):
     # ----------------------------------------------------------- bit cycle
 
     def output(self, time: int) -> int:
-        controller_level = super().output(time)
-        firmware_level = self.firmware.drive_level
-        if firmware_level == DOMINANT or controller_level == DOMINANT:
+        controller_level = CanNode.output(self, time)
+        if controller_level == DOMINANT or self.firmware.drive_level == DOMINANT:
             return DOMINANT
         return controller_level
 
@@ -90,9 +89,12 @@ class MichiCanNode(CanNode):
         # The firmware samples the same CAN_RX level the controller sees.
         # It must know whether the current frame is our own transmission so
         # it never counterattacks this ECU's legitimate traffic.
-        self.firmware.handler(time, level, own_transmission=self.is_transmitting)
-        self._emit_firmware_events(time)
-        super().observe(time, level)
+        firmware = self.firmware
+        firmware.handler(time, level, self.state is ControllerState.TRANSMITTING)
+        if (self._reported_detections != len(firmware.detections)
+                or self._was_attacking is not firmware.is_attacking):
+            self._emit_firmware_events(time)
+        CanNode.observe(self, time, level)
 
     def power_cycle(self, time: int) -> None:
         """A power glitch reboots both the controller and the firmware."""
