@@ -564,7 +564,7 @@ def execute_spec(spec: ScenarioSpec,
 
         write_dump(flight_dump, flight_path)
         flight.close()
-    return RunRecord(
+    record = RunRecord(
         spec=spec,
         result=result,
         wall_seconds=wall,
@@ -573,6 +573,9 @@ def execute_spec(spec: ScenarioSpec,
         snapshots=list(recorder.snapshots) if recorder is not None else [],
         flight=flight_dump,
     )
+    if sim is not None:
+        sim.release_records()  # folded into the record; free it now
+    return record
 
 
 def _subprocess_worker(conn: Any, spec: ScenarioSpec,

@@ -169,3 +169,22 @@ class TestEngineEligibility:
         engine = sim._engine()
         sim.advance(600)
         assert len(engine._plans) == 1  # identical frames share one plan
+
+
+def test_release_records_frees_buffers_and_keeps_running():
+    """A finished run can drop its event stream, wire history and cycle
+    memo; the clock and counters stay, and the simulator keeps working."""
+    from repro.experiments.campaign import ScenarioSpec
+
+    spec = ScenarioSpec("exp4", seed=0, duration_bits=20_000)
+    setup = spec.build()
+    sim = setup.sim
+    sim.advance(20_000)
+    assert sim.events and sim.ff_stats.replayed_segments > 0
+    total_bits = sim.wire.total_bits
+    sim.release_records()
+    assert sim.events == [] and sim.events_of(FrameTransmitted) == []
+    assert len(sim.wire.history) == 0
+    assert sim.time == 20_000 and sim.wire.total_bits == total_bits
+    sim.advance(5_000)
+    assert sim.time == 25_000 and sim.events
