@@ -27,16 +27,20 @@ new attribute can only cost speed, never exactness.
 share a key:
 
 ==================================  ====================================
-``FaultConfinement.rec >= 128``     one class: above 127 REC only decides
-                                    "error-passive", and a successful
-                                    reception resets it to 119.  Replayed
-                                    as a delta unless the node received a
-                                    frame or recovered in the segment; a
-                                    segment in which such a node changes
-                                    error state is not stored.
-bus-off recovery progress           "far" when 128 sequences cannot be
-                                    reached within the segment; the
-                                    sequence count is then a delta.
+``FaultConfinement`` TEC and REC    keyed by region — TEC 0 / 1-127 /
+                                    128-255 / bus-off, REC 0 / 1-127 /
+                                    >= 128 — and replayed as deltas.  A
+                                    node that did not change error state
+                                    and whose counters that started above
+                                    zero stayed in their regions (above
+                                    zero) replays while its live counters
+                                    plus the recorded excursion stay
+                                    inside those regions; any other node
+                                    replays only for its exact start
+                                    counters.
+bus-off recovery progress           a delta; replays while the live count
+                                    plus the recorded gain stays below 128
+                                    (exactly when the node recovered).
 ``MichiCanFirmware._cnt_sof >= 11`` one class; a delta when no bit of the
                                     segment reset it.
 scheduler due time                  "far" beyond the segment; applied at
@@ -62,17 +66,35 @@ values not read again               a queue entry enqueued before the
                                     segment rewrote it.
 ==================================  ====================================
 
-**Replay.**  On a key hit the engine extends the wire with the recorded
-levels, re-emits the recorded events in order, time-shifted, through each
-node's ``emit``, and restores every node's end state plus the recorded
+**Counter regions.**  Nothing reads TEC or REC mid-run except through
+the error state: the controller reads only ``error_passive`` and
+``bus_off``, and ``ErrorStateChanged``, ``BusOffEntered`` and the
+transition log carry counter values only on a state change, after which
+the node's counters replay only for their exact values.  Every counter
+update is a shift (+1, +8, -1) except the floor at zero, REC's reset to
+119 from above 127 and bus-off recovery; a counter that stays inside one
+region above zero meets none of them, so the live run is the recorded
+run shifted by a constant.  A node makes at most one counter update per
+bit, so sampling the counters once per recorded bit sees every value of
+the excursion.  A key therefore holds a short list of segments, each
+with a **guard**: the live start counters it replays for
+(:func:`_guard`).
+
+**Replay.**  On a key hit whose guard admits the live counters, the
+engine extends the wire with the recorded levels, re-emits the recorded
+events in order, time-shifted, through each node's ``emit``, and
+restores every node's end state plus the recorded counter and
 accumulator deltas.  Replay re-emits what the per-bit engine produced;
 there is no second model of arbitration or error handling.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
-from operator import add, attrgetter, sub
+from functools import lru_cache
+from math import inf
+from operator import add, attrgetter, le, sub
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -105,6 +127,7 @@ from repro.bus.simulator import CanBusSimulator, replay_safe
 from repro.can.constants import (
     BUS_IDLE_RECESSIVE_BITS,
     BUS_OFF_RECOVERY_SEQUENCES,
+    BUS_OFF_THRESHOLD,
     DOMINANT,
     ERROR_PASSIVE_THRESHOLD,
 )
@@ -125,24 +148,34 @@ if TYPE_CHECKING:
 #: abstraction table means "not reachable within this many bits".
 MAX_SEGMENT_BITS = 128
 
-#: Memo bound per simulator (FIFO eviction, like the engine's plan cache).
+#: Memo bound per simulator, in segments (FIFO eviction by key, like the
+#: engine's plan cache).
 MEMO_ENTRIES = 256
-
-#: Bound on the pre-keys a memo remembers (the set is cleared when full).
-#: A Table II fight sees at most 2268 distinct pre-keys in 100k bits
-#: (multi_attacker, seed 0), so the bound only caps longer runs.
-SIGHTINGS = 4096
 
 _OLD = "old"      # a queue entry enqueued before the segment start
 _FAR = "far"
 _NONE = "none"
-_PASSIVE_REC = "rec>=128"
 _CREDIT = "cnt_sof>=11"
 _STARTED = "started"
 _DEAD = "dead"
 
 _DELTA = 0
 _EXACT = 1
+
+
+#: Region edges: a counter keys as ``bisect_right(edges, value)``, so TEC
+#: as 0 / 1-127 / 128-255 / bus-off and REC as 0 / 1-127 / >= 128.
+_TEC_EDGES = (1, ERROR_PASSIVE_THRESHOLD, BUS_OFF_THRESHOLD)
+_REC_EDGES = (1, ERROR_PASSIVE_THRESHOLD)
+
+
+def _counters(records: Sequence["_Start"]) -> Tuple[int, ...]:
+    """Every node's start TEC, REC and bus-off sequence count, in node
+    order."""
+    values: List[int] = []
+    for record in records:
+        values += (record.tec, record.rec, record.busoff)
+    return tuple(values)
 
 
 def _rel(value: Optional[int], start: int) -> Optional[int]:
@@ -158,6 +191,7 @@ def _abs(value: Optional[int], start: int) -> Optional[int]:
 _Stamp = Tuple[type, Tuple[Any, ...]]
 
 
+@lru_cache(maxsize=None)
 def _field_index(cls: type, name: str) -> int:
     return tuple(cls.__dataclass_fields__).index(name)  # type: ignore[attr-defined]
 
@@ -342,8 +376,8 @@ class _Start:
     """One node's capture at a segment start (what finish/replay need)."""
 
     __slots__ = ("node", "codec", "sched_codec", "sched_info", "entries",
-                 "attempts", "completed", "tx_live", "rec", "rec_class",
-                 "transitions", "busoff", "busoff_live", "busoff_far",
+                 "attempts", "completed", "tx_live", "tec", "rec",
+                 "transitions", "busoff", "busoff_live",
                  "accum", "firmware")
 
     sched_codec: Any
@@ -352,12 +386,11 @@ class _Start:
     attempts: List[int]
     completed: int
     tx_live: bool
+    tec: int
     rec: int
-    rec_class: bool
     transitions: int
     busoff: int
     busoff_live: bool
-    busoff_far: bool
     accum: Tuple[int, ...]
     firmware: _FirmwareStart  # set when the node runs MichiCAN firmware
 
@@ -438,24 +471,15 @@ class _NodeCodec:
             tx_key: Any = (id(stream), index, pre_rtr, started - start)
         else:
             tx_key = _DEAD
-        rec = faults.rec
-        record.rec = rec
-        record.rec_class = rec >= ERROR_PASSIVE_THRESHOLD
+        tec = record.tec = faults.tec
+        rec = record.rec = faults.rec
         record.transitions = len(faults.transitions)
-        sequences = node._busoff_sequences
-        run = node._busoff_recessive_run
-        record.busoff = sequences
-        record.busoff_far = False
+        record.busoff = node._busoff_sequences
         record.busoff_live = node.state is ControllerState.BUS_OFF
-        if not record.busoff_live:
-            busoff_key: Any = _DEAD  # reset on bus-off entry, unread until then
-        else:
-            if node.auto_recover:
-                gain = ((run + MAX_SEGMENT_BITS) // BUS_IDLE_RECESSIVE_BITS
-                        - run // BUS_IDLE_RECESSIVE_BITS)
-                record.busoff_far = (sequences + gain
-                                     < BUS_OFF_RECOVERY_SEQUENCES)
-            busoff_key = (_FAR if record.busoff_far else sequences, run)
+        # Outside BUS_OFF both counters are reset on bus-off entry and
+        # unread until then; inside it the sequence count is guarded.
+        busoff_key = (node._busoff_recessive_run if record.busoff_live
+                      else _DEAD)
         get_accum = self.get_accum
         record.accum = (() if get_accum is None
                         else (get_accum(node) if len(self.accum) > 1
@@ -466,7 +490,7 @@ class _NodeCodec:
             type(node), self.get_exact(node),
             tuple(map(id, idents)), tx_key, node._time - start, sched[0],
             (queue._capacity, tuple(pending_key)),
-            (faults.tec, _PASSIVE_REC if record.rec_class else rec,
+            (bisect_right(_TEC_EDGES, tec), bisect_right(_REC_EDGES, rec),
              faults._state),
             _parser_key(parser), tuple(parser._field_bits),
             tuple(parser._data_bits), tuple(parser._crc_bits), busoff_key,
@@ -531,8 +555,6 @@ class _NodeCodec:
         node: Any = record.node
         queue = node.queue
         faults = node.faults
-        if record.rec_class and len(faults.transitions) != record.transitions:
-            return None  # a transition would carry the abstracted REC
         entries = record.entries
 
         def ref(entry: PendingTransmission) -> Tuple[Any, ...]:
@@ -545,20 +567,14 @@ class _NodeCodec:
             return (None, entry.frame, entry.enqueued_at - start,
                     entry.attempts, completed)
 
-        rec = faults.rec
-        # A successful reception (FrameReceived) or a recovery resets REC.
-        reset_rec = FrameReceived in emitted or BusOffRecovered in emitted
-        if record.rec_class and not reset_rec:
-            rec_end = (_DELTA, rec - record.rec)
-        else:
-            rec_end = (_EXACT, rec)
         run = node._busoff_recessive_run
-        if not record.busoff_live and BusOffEntered not in emitted:
-            busoff: Optional[Tuple[int, int, int]] = None  # still dead: keep
-        elif record.busoff_far:
-            busoff = (_DELTA, node._busoff_sequences - record.busoff, run)
-        else:
+        if record.busoff_live:
+            busoff: Optional[Tuple[int, int, int]] = (
+                _DELTA, node._busoff_sequences - record.busoff, run)
+        elif BusOffEntered in emitted:
             busoff = (_EXACT, node._busoff_sequences, run)
+        else:
+            busoff = None  # still dead: keep
         accum = None
         if self.get_accum is not None:
             values = self.get_accum(node)
@@ -577,7 +593,7 @@ class _NodeCodec:
             tuple([ref(entry) for entry in queue._pending]),
             (() if len(completed) == record.completed else
              tuple([ref(entry) for entry in completed[record.completed:]])),
-            faults.tec, rec_end, faults._state,
+            faults.tec - record.tec, faults.rec - record.rec, faults._state,
             _log_tail(faults.transitions, record.transitions, start),
             tuple([tuple(value) if type(value) is list else value
                    for value in node.parser.snapshot()]),
@@ -615,7 +631,7 @@ class _NodeCodec:
                 stop: int) -> None:
         node: Any = record.node
         (exact, ident, tx_end, last_time, sched_end, pending, completed,
-         tec, rec_end, fault_state, transitions, parser_state, busoff, accum,
+         tec, rec, fault_state, transitions, parser_state, busoff, accum,
          firmware_end) = end
         state = node.__dict__
         state.update(zip(self.exact, exact))
@@ -644,8 +660,8 @@ class _NodeCodec:
         if completed:
             queue.completed.extend([build(ref) for ref in completed])
         faults = node.faults
-        faults.tec = tec
-        faults.rec = record.rec + rec_end[1] if rec_end[0] == _DELTA else rec_end[1]
+        faults.tec = record.tec + tec
+        faults.rec = record.rec + rec
         faults._state = fault_state
         _extend_log(faults.transitions, transitions, start)
         node.parser.restore(parser_state)
@@ -788,14 +804,17 @@ def _build_event(recipe: _EventRecipe, record: _Start, start: int) -> Event:
 # ------------------------------------------------------------------ memo
 
 class _Segment:
-    """One recorded cycle: wire levels, event recipes, per-node end states."""
+    """One recorded cycle: wire levels, event recipes, per-node end states
+    and the live start counters it replays for (``guard``: lowest and
+    highest values, in :func:`_counters` order)."""
 
     __slots__ = ("length", "levels", "dominant", "events", "ends",
-                 "at_span", "keepalive")
+                 "at_span", "keepalive", "guard")
 
     def __init__(self, levels: Sequence[int], events: List[_EventRecipe],
                  ends: List[Tuple[Any, ...]], at_span: bool,
-                 keepalive: List[Any]) -> None:
+                 keepalive: List[Any],
+                 guard: Tuple[Tuple[int, ...], Tuple[float, ...]]) -> None:
         self.length = len(levels)
         self.levels = levels
         self.dominant = levels.count(DOMINANT)
@@ -803,11 +822,17 @@ class _Segment:
         self.ends = ends
         self.at_span = at_span
         self.keepalive = keepalive
+        self.guard = guard
+
+    def admits(self, counters: Tuple[int, ...]) -> bool:
+        """True when the live start counters lie inside the guard."""
+        lows, highs = self.guard
+        return all(map(le, lows, counters)) and all(map(le, counters, highs))
 
 
 class _Recording:
     __slots__ = ("key", "start", "records", "names", "entry_index",
-                 "levels", "events", "keepalive")
+                 "levels", "events", "keepalive", "marks")
 
     key: Any
     start: int
@@ -817,6 +842,8 @@ class _Recording:
     levels: List[int]
     events: List[Tuple[Optional[int], Event, Optional[int]]]
     keepalive: List[Any]
+    #: Per node: lowest and highest TEC, lowest and highest REC so far.
+    marks: List[List[int]]
 
 
 class CycleMemo:
@@ -827,11 +854,16 @@ class CycleMemo:
         self.sim = sim
         self.stats = stats
         self._codecs = _node_codecs()
-        self._segments: "OrderedDict[Any, _Segment]" = OrderedDict()
-        self._sighted: Set[int] = set()  # hashes of pre-keys seen so far
+        #: Segments by capture key; segments with one key differ in the
+        #: start counters their guards admit.
+        self._segments: "OrderedDict[Any, List[_Segment]]" = OrderedDict()
+        self._stored = 0  # segments over all keys
         self._recording: Optional[_Recording] = None
         #: The running segment's stepped levels (None when not recording).
         self.levels: Optional[List[int]] = None
+        #: (fault confinement, water marks) of the recorded nodes whose
+        #: counters did not both start at zero.
+        self._watch: List[Tuple[FaultConfinement, List[int]]] = []
 
     # ------------------------------------------------------------ capture
 
@@ -867,49 +899,36 @@ class CycleMemo:
 
     # ---------------------------------------------------------- boundaries
 
+    def _miss(self, reason: str) -> None:
+        stats = self.stats
+        stats.replay_misses += 1
+        stats.replay_miss_reasons[reason] += 1
+
     def boundary(self, deadline: int) -> Optional[_Segment]:
         """A SOF boundary: close the running segment, then replay the next
-        one if its key was seen before (returned), else start recording."""
+        one if a recorded cycle's key and guard match (returned), else
+        start recording."""
         if self._recording is not None:
             self.finish(at_span=False)
-        # Capture (and record on a miss) only at a boundary whose pre-key
-        # was seen before: equal keys have equal pre-keys, so until the set
-        # is cleared the first sighting of a pre-key cannot hit the memo,
-        # and a state that never recurs costs a pre-key instead of a
-        # capture and a recording.
-        sighted = self._sighted
-        token = hash(self._pre_key())
-        if token not in sighted:
-            if len(sighted) >= SIGHTINGS:
-                sighted.clear()
-            sighted.add(token)
-            self.stats.replay_misses += 1
-            return None
         captured = self._capture()
-        if captured is not None:
-            key, records, keepalive = captured
-            segment = self._segments.get(key)
-            if segment is None:
-                self._start(key, records, keepalive)
-            elif self._replayable(segment, deadline):
-                self._replay(segment, records)
-                return segment
-        self.stats.replay_misses += 1
-        return None
-
-    def _pre_key(self) -> Tuple[Any, ...]:
-        """A cheap function of the key: state, TEC, REC class and queued
-        IDs of every controller."""
-        pre = []
-        for node in self.sim.nodes:
-            if isinstance(node, CanNode):
-                faults = node.faults
-                rec = faults.rec
-                pre.append((node.state, faults.tec,
-                            rec if rec < ERROR_PASSIVE_THRESHOLD else -1,
-                            *[entry.frame.can_id
-                              for entry in node.queue._pending]))
-        return tuple(pre)
+        if captured is None:
+            self._miss("uncapturable")
+            return None
+        key, records, keepalive = captured
+        candidates = self._segments.get(key, ())
+        counters = _counters(records)
+        for segment in candidates:
+            if segment.admits(counters):
+                break
+        else:
+            self._start(key, records, keepalive)
+            self._miss("guard_refused" if candidates else "new_key")
+            return None
+        if not self._replayable(segment, deadline):
+            self._miss("not_replayable")
+            return None
+        self._replay(segment, records)
+        return segment
 
     def _start(self, key: Any, records: List[_Start],
                keepalive: List[Any]) -> None:
@@ -926,6 +945,11 @@ class CycleMemo:
         recording.levels = []
         recording.events = []
         recording.keepalive = keepalive
+        recording.marks = [[record.tec, record.tec, record.rec, record.rec]
+                           for record in records]
+        self._watch = [(record.node.faults, marks)
+                       for record, marks in zip(records, recording.marks)
+                       if record.tec or record.rec]
         self._recording = recording
         self.levels = recording.levels
         self.sim._event_listeners.append(self._on_event)
@@ -947,10 +971,22 @@ class CycleMemo:
         recording.events.append((index, event, entry))
 
     def record_bit(self, level: int) -> None:
-        """Append one stepped bit to the running segment (``levels`` set)."""
+        """Append one stepped bit to the running segment (``levels`` set)
+        and sample the counters of the watched nodes."""
         levels = self.levels
         assert levels is not None
         levels.append(level)
+        for faults, marks in self._watch:
+            value = faults.tec
+            if value < marks[0]:
+                marks[0] = value
+            elif value > marks[1]:
+                marks[1] = value
+            value = faults.rec
+            if value < marks[2]:
+                marks[2] = value
+            elif value > marks[3]:
+                marks[3] = value
         if len(levels) > MAX_SEGMENT_BITS:
             self.abandon()
 
@@ -959,6 +995,7 @@ class CycleMemo:
         if self._recording is not None:
             self._recording = None
             self.levels = None
+            self._watch = []
             self.sim._event_listeners.remove(self._on_event)
 
     def finish(self, at_span: bool) -> None:
@@ -989,11 +1026,13 @@ class CycleMemo:
                 return
             ends.append(end)
         segments = self._segments
-        if len(segments) >= MEMO_ENTRIES:
-            segments.popitem(last=False)
-        segments[recording.key] = _Segment(
-            tuple(recording.levels), recipes, ends,
-            at_span, recording.keepalive)
+        stored = self._stored
+        while stored >= MEMO_ENTRIES:
+            stored -= len(segments.popitem(last=False)[1])
+        segments.setdefault(recording.key, []).append(_Segment(
+            tuple(recording.levels), recipes, ends, at_span,
+            recording.keepalive, _guard(records, recording.marks)))
+        self._stored = stored + 1
         self.stats.recorded_segments += 1
 
     # -------------------------------------------------------------- replay
@@ -1013,3 +1052,52 @@ class CycleMemo:
         self.stats.replayed_bits += segment.length
 
 
+def _guard(records: Sequence[_Start], marks: Sequence[List[int]],
+           ) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+    """The live start counters a finished recording replays for, in
+    :func:`_counters` order.
+
+    A node that changed error state, or one of whose counters started
+    above zero and left its region, replays only for its exact start
+    counters.  For any other node, a counter that started at ``value``
+    above zero and moved within ``[low, high]`` replays for live starts
+    ``v`` whose run ``[v + low - value, v + high - value]`` stays inside
+    the region; one that started at zero keys as exactly zero.  A bus-off
+    node's sequence count replays for any live count that the recorded
+    gain keeps short of recovery; outside BUS_OFF it is not read.
+    """
+    lows: List[int] = []
+    highs: List[float] = []
+    for record, (tec_low, tec_high, rec_low, rec_high) in zip(records, marks):
+        node: Any = record.node
+        tec, rec, sequences = record.tec, record.rec, record.busoff
+        tec_bounds = _region_guard(tec, tec_low, tec_high, _TEC_EDGES)
+        rec_bounds = _region_guard(rec, rec_low, rec_high, _REC_EDGES)
+        if (tec_bounds is None or rec_bounds is None
+                or len(node.faults.transitions) != record.transitions):
+            bounds = [(tec, tec), (rec, rec), (sequences, sequences)]
+        else:
+            gain = node._busoff_sequences - sequences
+            bounds = [tec_bounds, rec_bounds,
+                      (0, BUS_OFF_RECOVERY_SEQUENCES - 1 - gain)]
+        if not record.busoff_live:
+            bounds[2] = (0, inf)
+        for low, high in bounds:
+            lows.append(low)
+            highs.append(high)
+    return tuple(lows), tuple(highs)
+
+
+def _region_guard(value: int, low: int, high: int, edges: Tuple[int, ...],
+                  ) -> Optional[Tuple[int, float]]:
+    """The live starts for a counter that started at ``value`` and moved
+    within ``[low, high]`` (None: it started above zero and left its
+    region)."""
+    if not value:
+        return 0, 0
+    index = bisect_right(edges, value)
+    bottom = edges[index - 1]
+    top = edges[index] - 1 if index < len(edges) else inf
+    if low < bottom or high > top:
+        return None
+    return bottom + value - low, top + value - high

@@ -211,6 +211,17 @@ DECLINE_REASONS: Tuple[str, ...] = (
 )
 
 
+#: Why an armed SOF boundary did not replay a cycle, in
+#: ``FastForwardStats.replay_miss_reasons`` order.
+REPLAY_MISS_REASONS: Tuple[str, ...] = (
+    "uncapturable",    # a node, scheduler or attribute the capture does not know
+    "new_key",         # no cycle recorded under the key yet (recording starts)
+    "guard_refused",   # cycles are recorded under the key, but no guard
+                       # admits the live counters (recording starts)
+    "not_replayable",  # the cycle would cross the deadline or a sample
+)
+
+
 class FastForwardStats:
     """Span, decline and replay counters exposed as ``sim.ff_stats``.
 
@@ -221,7 +232,7 @@ class FastForwardStats:
 
     __slots__ = ("body_spans", "body_bits", "idle_spans", "idle_bits",
                  "declines", "recorded_segments", "replayed_segments",
-                 "replayed_bits", "replay_misses")
+                 "replayed_bits", "replay_misses", "replay_miss_reasons")
 
     def __init__(self) -> None:
         self.body_spans = 0
@@ -235,10 +246,11 @@ class FastForwardStats:
         #: Cycles replayed from the memo, and the bits they covered.
         self.replayed_segments = 0
         self.replayed_bits = 0
-        #: Armed SOF boundaries that did not replay (no usable key, pre-key
-        #: or key not seen yet, or the cycle would cross the deadline/a
-        #: sample).
+        #: Armed SOF boundaries that did not replay, in total and by reason
+        #: (see :data:`REPLAY_MISS_REASONS`).
         self.replay_misses = 0
+        self.replay_miss_reasons: Dict[str, int] = dict.fromkeys(
+            REPLAY_MISS_REASONS, 0)
 
     @property
     def fast_bits(self) -> int:
@@ -256,6 +268,7 @@ class FastForwardStats:
             "replayed_segments": self.replayed_segments,
             "replayed_bits": self.replayed_bits,
             "replay_misses": self.replay_misses,
+            "replay_miss_reasons": dict(self.replay_miss_reasons),
         }
 
 

@@ -24,13 +24,16 @@ DURATION = 6_000
 SEEDS = (0, 1, 2)
 
 
-def _run(name, seed, engine, metrics=False, duration=DURATION, params=None):
+def _run(name, seed, engine, metrics=False, duration=DURATION, params=None,
+         prepare=None):
     if params is None:
         params = REQUIRED_PARAMS.get(name, {})
     spec = ScenarioSpec(name, params=dict(params), seed=seed,
                         duration_bits=duration, metrics=metrics,
                         engine=engine)
     setup = spec.build()
+    if prepare is not None:
+        prepare(setup)
     result = setup.run(config=spec.run_config())
     return setup.sim, result
 
@@ -191,12 +194,6 @@ FIGHTS = [
     ("multi_attacker", {"num_attackers": 3}),
 ]
 
-#: Three attackers rotate through fights with independent TEC/REC
-#: trajectories, so no exact state recurs within the window: the case
-#: checks exactness with the memo armed, not replays.
-NO_RECURRENCE = {"multi_attacker"}
-
-
 @pytest.mark.parametrize("name,params", FIGHTS,
                          ids=[name for name, _ in FIGHTS])
 def test_long_window_fights_replay_exactly(name, params):
@@ -210,9 +207,62 @@ def test_long_window_fights_replay_exactly(name, params):
     assert result_fast.to_dict() == result_bit.to_dict()
     stats = sim_fast.ff_stats
     assert stats.recorded_segments > 0
-    if name not in NO_RECURRENCE:
-        assert stats.replayed_segments > 0
-        assert stats.replayed_bits > 0
+    assert stats.replayed_segments > 0
+    assert stats.replayed_bits > 0
+    assert sum(stats.replay_miss_reasons.values()) == stats.replay_misses
+
+
+# ------------------------------------------------- counter-region edges
+
+#: Long enough for the preset episode and a few more.
+EDGE_WINDOW = 20_000
+
+#: Attacker TEC presets: each region's edges (0 | 1-127 | 128-255) and
+#: the values one retransmission (+8) away from them.
+TEC_PRESETS = (0, 1, 8, 119, 120, 127, 128, 129, 247, 248)
+#: MichiCAN REC presets: the edges of 0 | 1-127 | >= 128.
+REC_PRESETS = (0, 1, 127, 128)
+#: Presets strictly inside a region, a retransmission's +8 or more away
+#: from its upper edge (or with no upper edge).
+MID_REGION = {("tec", 8), ("tec", 119), ("tec", 129), ("rec", 1),
+              ("rec", 128)}
+
+
+def _preset(faults, tec=0, rec=0):
+    """Drive ``faults`` to the given counters through its own update
+    methods, so its error state and transition log stay consistent."""
+    while faults.tec < tec:
+        faults.on_transmit_error(0)
+    while faults.tec > tec:
+        faults.on_transmit_success(0)
+    while faults.rec < rec:
+        faults.on_receive_error(0)
+
+
+EDGE_CASES = ([("tec", value) for value in TEC_PRESETS]
+              + [("rec", value) for value in REC_PRESETS])
+
+
+@pytest.mark.parametrize("name", ["exp2", "exp6"])
+@pytest.mark.parametrize("counter,value", EDGE_CASES,
+                         ids=[f"{c}{v}" for c, v in EDGE_CASES])
+def test_counter_region_edges_replay_exactly(name, counter, value):
+    """Cycles keyed by counter region replay exactly from every region
+    edge: the attacker's TEC or MichiCAN's REC starts at ``value``."""
+    def prepare(setup):
+        if counter == "tec":
+            _preset(setup.attackers[0].faults, tec=value)
+        else:
+            _preset(setup.defender.faults, rec=value)
+
+    sim_fast, result_fast = _run(name, 0, "fast", duration=EDGE_WINDOW,
+                                 prepare=prepare)
+    sim_bit, result_bit = _run(name, 0, "bit", duration=EDGE_WINDOW,
+                               prepare=prepare)
+    assert _fingerprint(sim_fast) == _fingerprint(sim_bit)
+    assert result_fast.to_dict() == result_bit.to_dict()
+    if (counter, value) in MID_REGION:
+        assert sim_fast.ff_stats.replayed_segments > 0
 
 
 def _observed_fight(engine, attach, advance=None):
