@@ -13,7 +13,10 @@ root so future PRs have a perf trajectory to beat:
 * the fight window: exp4 over the paper's 100k-bit recording window,
   where replayed fight cycles must make the fast engine >= 2x per-bit;
 * the three-attacker fight over the same window, whose cycles recur only
-  because they are keyed by counter region: fast >= 1.2x per-bit.
+  because they are keyed by counter region: fast >= 1.2x per-bit;
+* exp4 over the fight window under the campaign's autoflush flight
+  recorder, which must ride replay: the same replayed cycles as bare and
+  at most 1.5x its wall time.
 
 The parallel-speedup assertion only applies on multi-core hosts; a
 single-core container still records the numbers and checks determinism.
@@ -27,7 +30,7 @@ import pathlib
 import time
 
 from conftest import report
-from repro.experiments.campaign import Campaign, ScenarioSpec
+from repro.experiments.campaign import Campaign, ScenarioSpec, execute_spec
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO_ROOT / "BENCH_campaign.json"
@@ -50,6 +53,7 @@ ENGINE_TARGET_SPEEDUP = 3.0
 FIGHT_WINDOW_BITS = 100_000
 FIGHT_TARGET_SPEEDUP = 2.0
 MULTI_ATTACKER_TARGET_SPEEDUP = 1.2
+FLIGHT_MAX_SLOWDOWN = 1.5
 
 
 def campaign_specs(duration_bits=20_000, engine="fast"):
@@ -300,3 +304,62 @@ def test_fastpath_multi_attacker_window(benchmark, quick):
     ])
     assert stats["replayed_segments"] > 0
     assert speedup >= MULTI_ATTACKER_TARGET_SPEEDUP
+
+
+def test_fastpath_flight_window(benchmark, quick, tmp_path):
+    """The crash flight recorder rides replay: exp4 over the fight window
+    through ``execute_spec`` with a flight path (the recorder every
+    ``--flight-dir`` campaign and ``repro serve`` spec runs) takes at most
+    1.5x bare, with the same result and the same replayed cycles.
+
+    Variants alternate over five rounds and each keeps its best wall
+    time, build included for both: the recorder adds ~0.06-0.09 s to a
+    run of ~0.15-0.2 s, so a few slow rounds on a shared host must not
+    decide it.
+    """
+    spec = ScenarioSpec("exp4", duration_bits=FIGHT_WINDOW_BITS)
+    flight_path = str(tmp_path / "exp4.flight.json")
+
+    def bare():
+        started = time.perf_counter()
+        setup = spec.build()
+        result = setup.run(config=spec.run_config())
+        wall = time.perf_counter() - started
+        return result.to_dict(), setup.sim.ff_stats.as_dict(), wall
+
+    def flight():
+        started = time.perf_counter()
+        record = execute_spec(spec, flight_path=flight_path)
+        wall = time.perf_counter() - started
+        return record.result.to_dict(), record.flight["ff_stats"], wall
+
+    def rounds():
+        return [(bare(), flight()) for _ in range(5)]
+
+    outcomes = benchmark.pedantic(rounds, rounds=1, iterations=1)
+    bare_wall = min(plain[2] for plain, _ in outcomes)
+    flight_wall = min(recorded[2] for _, recorded in outcomes)
+    (bare_result, bare_stats, _), (flight_result, stats, _) = outcomes[0]
+    assert flight_result == bare_result
+    slowdown = flight_wall / bare_wall
+    print(f"\nexp4 flight ff_stats: {json.dumps(stats, sort_keys=True)}")
+    if not quick:
+        _record("flight_fight", {
+            "scenario": "exp4",
+            "duration_bits": FIGHT_WINDOW_BITS,
+            "bare_steps_per_second": round(FIGHT_WINDOW_BITS / bare_wall, 1),
+            "flight_steps_per_second": round(
+                FIGHT_WINDOW_BITS / flight_wall, 1),
+            "slowdown": round(slowdown, 2),
+            "ff_stats": stats,
+        })
+    report("Fight window — flight recorder vs bare", [
+        ("window (bits)", "-", FIGHT_WINDOW_BITS),
+        ("bare wall (s)", "-", f"{bare_wall:.2f}"),
+        ("flight wall (s)", "-", f"{flight_wall:.2f}"),
+        ("replayed cycles (bare)", "-", bare_stats["replayed_segments"]),
+        ("replayed cycles (flight)", "= bare", stats["replayed_segments"]),
+        ("flight / bare", f"<= {FLIGHT_MAX_SLOWDOWN}x", f"{slowdown:.2f}x"),
+    ])
+    assert stats["replayed_segments"] == bare_stats["replayed_segments"] > 0
+    assert slowdown <= FLIGHT_MAX_SLOWDOWN

@@ -1721,6 +1721,9 @@ class Project:
         for path, summary in self.summaries.items():
             if summary.module is not None:
                 self.modules[summary.module] = path
+        #: Top-level package names of the analysed modules.
+        self.packages: Set[str] = {
+            module.split(".")[0] for module in self.modules}
         #: class name -> [(path, class name)] (cross-file, by simple name).
         self.class_index: Dict[str, List[Tuple[str, str]]] = {}
         #: method name -> [(path, qualname)] over all class methods.
@@ -2031,6 +2034,12 @@ class CallGraph:
         alias_targets = self._module_alias_targets(summary, parts)
         if alias_targets:
             return alias_targets
+        alias = summary.import_aliases.get(parts[0])
+        if alias is not None and alias.split(".")[0] not in \
+                self.project.packages:
+            # ``os.close()``: a function of an outside module never runs
+            # a project method that happens to share its name.
+            return []
 
         if len(parts) == 2:
             # Cls.method() through a locally known class name.

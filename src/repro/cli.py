@@ -1306,7 +1306,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="spans to print without --output (default: 40)")
     tp = trace_sub.add_parser(
         "postmortem", help="render a flight-recorder dump")
-    tp.add_argument("dump", help="a .flight.json dump file")
+    tp.add_argument("dump", help="a .flight.json dump or flight log")
     tp.add_argument("--events", type=int, default=20,
                     help="recorded events to show (default: 20)")
     tp.add_argument("--svg", default=None, metavar="FILE",

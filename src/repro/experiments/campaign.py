@@ -511,14 +511,31 @@ class CampaignReport:
 _active_flight: List[Any] = []
 
 
+def _flush_flight_and_exit(signum: int, frame: Any) -> None:
+    """SIGTERM handler of flight-recording workers.
+
+    The parent is killing the worker (timeout, or a stolen lease): append
+    a timeout checkpoint to the live recorder's log, then exit without
+    unwinding the run loop, which is mid-bit.  ``flush`` writes through
+    the log's raw file descriptor, so it is safe at any bytecode.
+    """
+    if _active_flight:
+        try:
+            _active_flight[-1].flush(reason="timeout")
+        except OSError:
+            pass
+    os._exit(124)
+
+
 def execute_spec(spec: ScenarioSpec,
                  flight_path: Optional[str] = None) -> RunRecord:
     """Build, run and measure one spec (the worker entry point).
 
     With ``flight_path`` a :class:`~repro.obs.flight.FlightRecorder` rides
-    the run, autoflushing its dump there so it survives hard crashes; an
-    aborting exception (injected faults included) flushes a final dump
-    before propagating.
+    the run, appending its event log there so it survives hard crashes;
+    an aborting exception (injected faults included) appends a final
+    checkpoint before propagating, and a clean finish replaces the log
+    with the complete dump.
     """
     setup = spec.build()
     probe = recorder = flight = None
@@ -539,8 +556,8 @@ def execute_spec(spec: ScenarioSpec,
         # Crash-dump registry for the SIGTERM handler; drained in the
         # finally below, so no state survives into the next spec.
         _active_flight.append(flight)  # repro: noqa[RC301]
-        # An on-disk dump exists from t=0 on, so even a crash before the
-        # first autoflush leaves a renderable post-mortem.
+        # A checkpoint exists from t=0 on, so even a crash before the
+        # first event write leaves a renderable post-mortem.
         flight.flush(reason="start")
     started = _time.perf_counter()
     try:
@@ -550,8 +567,10 @@ def execute_spec(spec: ScenarioSpec,
             flight.flush(reason="abort")
         raise
     finally:
-        if flight is not None and flight in _active_flight:
-            _active_flight.remove(flight)  # repro: noqa[RC301]
+        if flight is not None:
+            flight.close()
+            if flight in _active_flight:
+                _active_flight.remove(flight)  # repro: noqa[RC301]
     wall = _time.perf_counter() - started
     steps = getattr(sim, "time", spec.duration_bits)
     if probe is not None:
@@ -559,11 +578,10 @@ def execute_spec(spec: ScenarioSpec,
         probe.close()
     flight_dump = None
     if flight is not None:
-        flight_dump = flight.dump(reason="complete")
         from repro.obs.flight import write_dump
 
+        flight_dump = flight.dump(reason="complete")
         write_dump(flight_dump, flight_path)
-        flight.close()
     record = RunRecord(
         spec=spec,
         result=result,
@@ -584,17 +602,7 @@ def _subprocess_worker(conn: Any, spec: ScenarioSpec,
     if flight_path is not None:
         import signal
 
-        def _on_terminate(signum: int, frame: Any) -> None:
-            # The parent is killing us (timeout): persist the black box,
-            # then exit without unwinding (the run loop is mid-bit).
-            if _active_flight:
-                try:
-                    _active_flight[-1].flush(reason="timeout")
-                except OSError:
-                    pass
-            os._exit(124)
-
-        signal.signal(signal.SIGTERM, _on_terminate)
+        signal.signal(signal.SIGTERM, _flush_flight_and_exit)
     try:
         record = execute_spec(spec, flight_path=flight_path)
         conn.send(("ok", record.to_dict()))

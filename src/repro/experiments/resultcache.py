@@ -170,9 +170,10 @@ class ResultCache:
         except OSError:
             return False
         try:
+            # One C-encoder pass (``json.dump`` streams through the
+            # pure-Python encoder); the bytes are the same.
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
-                handle.write("\n")
+                handle.write(json.dumps(entry, sort_keys=True) + "\n")
             os.replace(tmp_path, self._entry_path(digest))
         except OSError:
             return False

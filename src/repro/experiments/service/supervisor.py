@@ -33,7 +33,6 @@ failure record instead of a dead worker.
 
 from __future__ import annotations
 
-import os
 import threading
 import time as _time
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.campaign import (
     ScenarioSpec,
-    _active_flight,
+    _flush_flight_and_exit,
     execute_spec,
 )
 
@@ -56,17 +55,9 @@ def _pool_worker(conn: Any, heartbeat_seconds: float,
     if flight_enabled:
         import signal
 
-        def _on_terminate(signum: int, frame: Any) -> None:
-            # The supervisor is stealing our lease (hang/expiry): persist
-            # the black box, then exit without unwinding a mid-bit loop.
-            if _active_flight:
-                try:
-                    _active_flight[-1].flush(reason="timeout")
-                except OSError:
-                    pass
-            os._exit(124)
-
-        signal.signal(signal.SIGTERM, _on_terminate)
+        # A stolen lease (hang/expiry) terminates us mid-bit: the handler
+        # appends a timeout checkpoint to the flight log, then exits.
+        signal.signal(signal.SIGTERM, _flush_flight_and_exit)
 
     send_lock = threading.Lock()
     #: Guards ``current`` — written by the spec loop, read by the

@@ -3,30 +3,41 @@
 When a campaign worker dies — an injected fault raising mid-run, a hard
 ``os._exit`` crash, or the parent terminating it on timeout — the
 aggregate report says only *that* it died.  :class:`FlightRecorder`
-preserves *why*: a bounded ring of the most recent events, periodic
-TEC/REC/controller-state samples per node, the fast-forward span counters
-and the tail of the recorded wire, all frozen into a JSON dump the
-campaign engine attaches to the :class:`~repro.experiments.campaign.
-RunFailure` (``repro trace postmortem <dump>`` renders it).
+preserves *why*: a bounded ring of the most recent events, the final
+TEC/REC/controller state per node, the fast-forward counters and the
+tail of the recorded wire, all frozen into a JSON dump the campaign
+engine attaches to the :class:`~repro.experiments.campaign.RunFailure`
+(``repro trace postmortem <dump>`` renders it).
 
-Crash survival: exception and timeout paths dump explicitly, but a hard
-crash (``os._exit``) runs no handlers — so the recorder can *autoflush*
-the dump to disk every ``flush_every`` captured events, atomically via a
-temp file + ``os.replace``, leaving at most ``flush_every`` events
-unaccounted for.  Flushing is count-based, never wall-clock-based, so the
-recorder stays legal inside the deterministic engine paths.
+Crash survival: with an ``autoflush_path`` the recorder keeps an
+append-only JSONL *log* there — a header line, then one line per event,
+each encoded once.  Lines reach the OS every ``flush_every`` events, so a
+hard crash (``os._exit``, which runs no handlers) loses at most that
+many.  :meth:`FlightRecorder.flush` appends a *checkpoint* line (time,
+node states, fast-forward counters, wire tail) for the start, abort and
+timeout routes.  Once the log holds ``ROTATE_FACTOR`` rings' worth of
+lines it is rewritten atomically from the header, the ring and the last
+checkpoint, so it stays bounded over any run.  :func:`load_dump` folds a
+log into the same dict :meth:`FlightRecorder.dump` returns.
+
+The event callback reads only the event it is handed and flushes by
+count, never by wall clock, so the recorder is ``@replay_safe``: the
+fast-forward engine keeps replaying fight cycles under it.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import json.encoder
 import os
 from collections import deque
 from dataclasses import fields as dataclass_fields
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Union
+from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
+                    Optional, Tuple, Union)
 
 from repro.bus.events import Event
+from repro.bus.simulator import replay_safe
 from repro.can.errors import CanError
 from repro.can.frame import CanFrame
 from repro.errors import ConfigurationError
@@ -34,18 +45,40 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:
     from repro.bus.simulator import CanBusSimulator
 
-#: Bump when the dump layout changes incompatibly.
-FLIGHT_SCHEMA_VERSION = 1
+#: Bump when the dump or log layout changes incompatibly.
+#: v2: an append-only event log; the periodic node samples are gone.
+FLIGHT_SCHEMA_VERSION = 2
 
-#: The dump's format marker.
+#: The dump's (and the log header's) format marker.
 FLIGHT_KIND = "repro.obs.flight"
 
 #: Default bounded-ring capacities.
 DEFAULT_EVENT_CAPACITY = 256
-DEFAULT_SAMPLE_CAPACITY = 64
 DEFAULT_WIRE_TAIL_BITS = 512
 
+#: The log is rewritten from the ring once it holds this many
+#: ``event_capacity``'s worth of lines.
+ROTATE_FACTOR = 4
+
 PathLike = Union[str, "os.PathLike[str]"]
+
+
+def _line_encoder() -> Callable[[Any], str]:
+    """Compact one-line JSON through the C encoder, built once.
+
+    ``json.dumps`` rebuilds the C encoder on every call, which is about a
+    third of an event line's cost; ``json.dump`` never uses it at all.
+    """
+    plain = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+    make = getattr(json.encoder, "c_make_encoder", None)
+    if make is None:  # an interpreter without the _json accelerator
+        return plain.encode
+    chunks = make(None, plain.default, json.encoder.encode_basestring_ascii,
+                  None, ":", ",", False, False, True)
+    return lambda value: "".join(chunks(value, 0))
+
+
+_encode_line = _line_encoder()
 
 
 def _encode_value(value: Any) -> Any:
@@ -65,13 +98,18 @@ def _encode_value(value: Any) -> Any:
     return str(value)
 
 
-def _encode_event(event: Event) -> Dict[str, Any]:
-    entry: Dict[str, Any] = {"type": type(event).__name__,
-                             "time": event.time, "node": event.node}
-    for spec in dataclass_fields(event):
-        if spec.name not in ("time", "node"):
-            entry[spec.name] = _encode_value(getattr(event, spec.name))
-    return entry
+#: Field values the log stores as they are.
+_PLAIN = frozenset({type(None), bool, int, float, str})
+
+
+def _text(lines: List[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 class FlightRecorder:
@@ -80,85 +118,151 @@ class FlightRecorder:
     Args:
         sim: Simulator to observe; subscribes immediately.
         event_capacity: Ring size for the most recent events.
-        sample_every_bits: Period (in bit times) of the node TEC/REC/state
-            sample ring; sampling piggybacks on event delivery so the
-            engine hot loop is untouched.
-        sample_capacity: Ring size for node-state samples.
-        autoflush_path: When set, the dump is atomically rewritten here
-            every ``flush_every`` captured events (hard-crash survival).
-        flush_every: Event count between autoflushes.
+        autoflush_path: When set, the recorder keeps its append-only log
+            here (hard-crash survival); the header is written at once.
+        flush_every: Event count between writes of the log's pending
+            lines to the OS.
     """
 
     def __init__(self, sim: "CanBusSimulator",
                  event_capacity: int = DEFAULT_EVENT_CAPACITY,
-                 sample_every_bits: int = 1_000,
-                 sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
                  autoflush_path: Optional[PathLike] = None,
                  flush_every: int = 64) -> None:
         if event_capacity <= 0:
             raise ConfigurationError(
                 f"event capacity must be positive, got {event_capacity}")
-        if sample_every_bits <= 0:
-            raise ConfigurationError(
-                f"sample period must be positive, got {sample_every_bits}")
         if flush_every <= 0:
             raise ConfigurationError(
                 f"flush period must be positive, got {flush_every}")
         self.sim = sim
-        self.sample_every_bits = sample_every_bits
+        self.event_capacity = event_capacity
         self.autoflush_path = (
             os.fspath(autoflush_path) if autoflush_path is not None else None)
         self.flush_every = flush_every
         self._events: Deque[Dict[str, Any]] = deque(maxlen=event_capacity)
-        self._samples: Deque[Dict[str, Any]] = deque(maxlen=sample_capacity)
-        self._next_sample_at = sim.time + sample_every_bits
-        self._since_flush = 0
+        #: The ring's entries as log lines, without their newlines (what
+        #: a rotation rewrites).
+        self._lines: Deque[str] = deque(maxlen=event_capacity)
+        #: Encoded event lines not yet handed to the OS.
+        self._pending: List[str] = []
+        #: Event class -> the field names its entries carry.
+        self._fields: Dict[type, Tuple[str, ...]] = {}
+        #: Events recorded since the last checkpoint line.
+        self._since_checkpoint = 0
+        self._checkpoint_line: Optional[str] = None
+        self._fd: Optional[int] = None
+        self._log_lines = 0
+        self._header = _encode_line({
+            "kind": FLIGHT_KIND, "schema_version": FLIGHT_SCHEMA_VERSION,
+            "format": "log", "bus_speed": sim.bus_speed,
+            "event_capacity": event_capacity})
+        if self.autoflush_path is not None:
+            self._rewrite_log([])
         self._unsubscribe = sim.on_event(self._on_event)
         self.closed = False
 
     # ------------------------------------------------------------- capture
 
-    def _on_event(self, event: Event) -> None:
-        self._events.append(_encode_event(event))
-        if event.time >= self._next_sample_at:
-            self._samples.append(self._sample_nodes(event.time))
-            while self._next_sample_at <= event.time:
-                self._next_sample_at += self.sample_every_bits
-        if self.autoflush_path is not None:
-            self._since_flush += 1
-            if self._since_flush >= self.flush_every:
-                self.flush(reason="autoflush")
+    def _encode_event(self, event: Event) -> Dict[str, Any]:
+        cls = type(event)
+        names = self._fields.get(cls)
+        if names is None:
+            names = self._fields[cls] = tuple(
+                spec.name for spec in dataclass_fields(event)
+                if spec.name not in ("time", "node"))
+        entry: Dict[str, Any] = {"type": cls.__name__,
+                                 "time": event.time, "node": event.node}
+        for name in names:
+            value = getattr(event, name)
+            entry[name] = (value if type(value) in _PLAIN
+                           else _encode_value(value))
+        return entry
 
-    def _sample_nodes(self, time: int) -> Dict[str, Any]:
+    @replay_safe
+    def _on_event(self, event: Event) -> None:
+        entry = self._encode_event(event)
+        self._events.append(entry)
+        if self._fd is None:
+            return
+        line = _encode_line(entry)
+        self._lines.append(line)
+        self._pending.append(line)
+        self._since_checkpoint += 1
+        if len(self._pending) >= self.flush_every:
+            self._write_pending()
+
+    # ----------------------------------------------------------------- log
+
+    def _write_pending(self, extra: Optional[str] = None) -> None:
+        """Hand the pending lines (plus ``extra``) to the OS, rotating the
+        log when it would outgrow its bound."""
+        # Swap first: a signal handler flushing mid-write sees an empty
+        # list, so no line is written twice.
+        pending, self._pending = self._pending, []
+        if extra is not None:
+            pending.append(extra)
+        if self._log_lines + len(pending) > \
+                ROTATE_FACTOR * self.event_capacity:
+            self._rewrite_log(self._ring_lines())
+            return
+        _write_all(self._fd, _text(pending))
+        self._log_lines += len(pending)
+
+    def _ring_lines(self) -> List[str]:
+        """The ring as log lines, the last checkpoint at its place in it."""
+        ring = list(self._lines)
+        if self._checkpoint_line is not None:
+            ring.insert(max(0, len(ring) - self._since_checkpoint),
+                        self._checkpoint_line)
+        return ring
+
+    def _rewrite_log(self, lines: List[str]) -> None:
+        """Atomically replace the log with the header plus ``lines`` and
+        keep appending to the new file."""
+        path = self.autoflush_path
+        tmp = path + ".tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND,
+                     0o644)
+        try:
+            _write_all(fd, _text([self._header, *lines]))
+            os.replace(tmp, path)
+        except BaseException:
+            os.close(fd)
+            raise
+        old, self._fd = self._fd, fd
+        self._log_lines = len(lines)
+        if old is not None:
+            os.close(old)
+
+    # ---------------------------------------------------------------- dump
+
+    def _node_states(self) -> Dict[str, Any]:
         nodes: Dict[str, Any] = {}
         for node in self.sim.nodes:
             if not hasattr(node, "tec"):
                 continue  # pseudo-nodes (recorders, probes) carry no state
             entry: Dict[str, Any] = {"tec": node.tec, "rec": node.rec,
                                      "state": node.state.value}
+            faults = getattr(node, "faults", None)
+            if faults is not None:
+                entry["error_state"] = faults.state.value
             firmware = getattr(node, "firmware", None)
             if firmware is not None and hasattr(firmware, "phase"):
                 entry["firmware_phase"] = firmware.phase.name
             nodes[node.name] = entry
-        return {"time": time, "nodes": nodes}
+        return nodes
 
-    # ---------------------------------------------------------------- dump
-
-    def dump(self, reason: str = "manual") -> Dict[str, Any]:
-        """Freeze the recorder's current state into a JSON-safe dump."""
+    def _state(self) -> Dict[str, Any]:
+        """Live simulator state: what a checkpoint and a dump share."""
         sim = self.sim
         wire = sim.wire
-        tail = list(wire.history)[-DEFAULT_WIRE_TAIL_BITS:]
+        history = wire.history
+        tail = (history[-DEFAULT_WIRE_TAIL_BITS:] if isinstance(history, list)
+                else list(history)[-DEFAULT_WIRE_TAIL_BITS:])
         end_bit = wire.total_bits
         return {
-            "kind": FLIGHT_KIND,
-            "schema_version": FLIGHT_SCHEMA_VERSION,
-            "reason": reason,
             "time": sim.time,
-            "bus_speed": sim.bus_speed,
-            "events": list(self._events),
-            "samples": list(self._samples),
-            "nodes": self._sample_nodes(sim.time)["nodes"],
+            "nodes": self._node_states(),
             "ff_stats": sim.ff_stats.as_dict(),
             "wire_tail": {
                 "levels": tail,
@@ -168,18 +272,49 @@ class FlightRecorder:
             },
         }
 
+    def dump(self, reason: str = "manual") -> Dict[str, Any]:
+        """Freeze the recorder's current state into a JSON-safe dump."""
+        dump = {
+            "kind": FLIGHT_KIND,
+            "schema_version": FLIGHT_SCHEMA_VERSION,
+            "reason": reason,
+            "bus_speed": self.sim.bus_speed,
+            "events": list(self._events),
+        }
+        dump.update(self._state())
+        return dump
+
     def flush(self, reason: str = "flush") -> Optional[str]:
-        """Atomically (re)write the dump to :attr:`autoflush_path`."""
-        if self.autoflush_path is None:
+        """Append the pending events and a ``reason`` checkpoint to the log.
+
+        Writes through the raw file descriptor only, so the campaign's
+        SIGTERM handler may call it in the middle of a bit.
+        """
+        if self.autoflush_path is None or self._fd is None:
             return None
-        self._since_flush = 0
-        return write_dump(self.dump(reason=reason), self.autoflush_path)
+        checkpoint = {"checkpoint": reason}
+        checkpoint.update(self._state())
+        line = _encode_line(checkpoint)
+        self._checkpoint_line = line
+        self._since_checkpoint = 0
+        self._write_pending(line)
+        return self.autoflush_path
 
     def close(self) -> None:
-        """Detach from the simulator's event stream (idempotent)."""
-        if not self.closed:
-            self._unsubscribe()
-            self.closed = True
+        """Detach from the simulator's event stream and close the log
+        (idempotent); pending lines are written first."""
+        if self.closed:
+            return
+        self._unsubscribe()
+        self.closed = True
+        if self._fd is not None:
+            # Never rotate here: the run's final dump may already have
+            # replaced the log at this path.
+            fd, self._fd = self._fd, None
+            pending, self._pending = self._pending, []
+            if pending:
+                _write_all(fd, _text(pending))
+            os.close(fd)
 
 
 # --------------------------------------------------------------- dump I/O
@@ -189,25 +324,133 @@ def write_dump(dump: Dict[str, Any], path: PathLike) -> str:
     target = os.fspath(path)
     tmp = target + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(dump, handle, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(dump, sort_keys=True) + "\n")
     os.replace(tmp, target)
     return target
 
 
-def load_dump(path: PathLike) -> Dict[str, Any]:
-    """Load a dump, validating its format marker and schema version."""
-    with open(path, encoding="utf-8") as handle:
-        dump = json.load(handle)
-    if not isinstance(dump, dict) or dump.get("kind") != FLIGHT_KIND:
+def _decode(line: str) -> Any:
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError):  # torn, foreign or too deep
+        return None
+
+
+def _check_dump(dump: Dict[str, Any], name: str) -> Dict[str, Any]:
+    """The container types :func:`render_dump` relies on."""
+    shape: Tuple[Tuple[str, type], ...] = (
+        ("events", list), ("nodes", dict), ("ff_stats", dict),
+        ("wire_tail", dict))
+    for key, kind in shape:
+        if not isinstance(dump.get(key, kind()), kind):
+            raise ConfigurationError(
+                f"flight dump {name!r}: {key!r} is not a {kind.__name__}")
+    if not all(isinstance(entry, dict) for entry in dump.get("events", [])) \
+            or not all(isinstance(entry, dict)
+                       for entry in dump.get("nodes", {}).values()):
         raise ConfigurationError(
-            f"{os.fspath(path)!r} is not a flight-recorder dump")
-    version = dump.get("schema_version")
+            f"flight dump {name!r}: malformed event or node entry")
+    return dump
+
+
+#: Logged events that move a node's state past its last checkpoint.
+_STATE_EVENTS = ("ErrorStateChanged", "BusOffEntered", "BusOffRecovered")
+
+
+def _apply_state_event(nodes: Dict[str, Any], entry: Dict[str, Any]) -> None:
+    """Advance a checkpoint's node states by one logged event: the fault
+    confinement transitions carry TEC/REC; the controller state is known
+    again only at bus-off entry and recovery."""
+    kind = entry.get("type")
+    name = entry.get("node")
+    if kind not in _STATE_EVENTS or not isinstance(name, str):
+        return
+    node = nodes.setdefault(name, {})
+    if kind == "ErrorStateChanged":
+        node.update(error_state=entry.get("new_state"), tec=entry.get("tec"),
+                    rec=entry.get("rec"))
+    elif kind == "BusOffEntered":
+        node.update(state="bus-off", error_state="bus-off",
+                    tec=entry.get("tec"))
+    else:
+        node.update(state="idle")
+
+
+def _fold_log(head: Dict[str, Any], body: List[str],
+              name: str) -> Dict[str, Any]:
+    """One pass over a log: the dump its recorder would have returned."""
+    capacity = head.get("event_capacity")
+    if not isinstance(capacity, int) or isinstance(capacity, bool) \
+            or capacity <= 0:
+        raise ConfigurationError(
+            f"flight log {name!r} has a malformed header")
+    events: Deque[Dict[str, Any]] = deque(maxlen=capacity)
+    checkpoint: Dict[str, Any] = {}
+    nodes: Dict[str, Any] = {}
+    after = 0
+    for number, line in enumerate(body, start=2):
+        entry = _decode(line)
+        if entry is None and number == len(body) + 1:
+            break  # a torn last line: the crash cut the final write
+        if not isinstance(entry, dict):
+            raise ConfigurationError(
+                f"flight log {name!r}: line {number} is not a log entry")
+        if "checkpoint" in entry:
+            checkpoint = entry
+            nodes = checkpoint.get("nodes")
+            if not isinstance(nodes, dict) or not all(
+                    isinstance(node, dict) for node in nodes.values()):
+                raise ConfigurationError(
+                    f"flight log {name!r}: line {number} has malformed "
+                    f"node states")
+            nodes = {key: dict(node) for key, node in nodes.items()}
+            after = 0
+        else:
+            events.append(entry)
+            _apply_state_event(nodes, entry)
+            after += 1
+    times = [value for value in (
+        checkpoint.get("time"), events[-1].get("time") if events else None)
+        if isinstance(value, int)]
+    reason = checkpoint.get("checkpoint") if checkpoint and not after \
+        else "autoflush"
+    return _check_dump({
+        "kind": FLIGHT_KIND,
+        "schema_version": FLIGHT_SCHEMA_VERSION,
+        "reason": reason,
+        "time": max(times, default=0),
+        "bus_speed": head.get("bus_speed"),
+        "events": list(events),
+        "nodes": nodes,
+        "ff_stats": checkpoint.get("ff_stats", {}),
+        "wire_tail": checkpoint.get("wire_tail", {}),
+    }, name)
+
+
+def load_dump(path: PathLike) -> Dict[str, Any]:
+    """Load a dump or fold a log, validating the format marker and the
+    schema version; anything else raises :class:`ConfigurationError`."""
+    name = os.fspath(path)
+    try:
+        with open(name, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise ConfigurationError(
+            f"{name!r} is not a flight-recorder dump") from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    head = _decode(lines[0]) if lines else None
+    if not isinstance(head, dict) or head.get("kind") != FLIGHT_KIND:
+        raise ConfigurationError(f"{name!r} is not a flight-recorder dump")
+    version = head.get("schema_version")
     if version != FLIGHT_SCHEMA_VERSION:
         raise ConfigurationError(
-            f"flight dump {os.fspath(path)!r} has schema version "
+            f"flight dump {name!r} has schema version "
             f"{version!r}; this build reads version {FLIGHT_SCHEMA_VERSION}")
-    return dump
+    if head.get("format") == "log":
+        return _fold_log(head, lines[1:], name)
+    return _check_dump(head, name)
 
 
 # ----------------------------------------------------------------- render
@@ -243,7 +486,8 @@ def render_dump(dump: Dict[str, Any], events: int = 20,
         node = dump["nodes"][name]
         phase = node.get("firmware_phase")
         lines.append(
-            f"  {name:<14} state={node.get('state', '?'):<13} "
+            f"  {name:<14} state={str(node.get('state', '?')):<13} "
+            f"{str(node.get('error_state', '')):<13} "
             f"tec={node.get('tec', 0):<4} rec={node.get('rec', 0):<4}"
             + (f" firmware={phase}" if phase else ""))
     recorded = dump.get("events", [])
@@ -251,15 +495,20 @@ def render_dump(dump: Dict[str, Any], events: int = 20,
     lines.append("")
     lines.append(f"last {len(shown)} of {len(recorded)} recorded events:")
     lines.extend(_format_event(entry) for entry in shown)
-    samples = dump.get("samples", [])
-    if samples:
+    changes = [entry for entry in recorded
+               if entry.get("type") in ("ErrorStateChanged", "BusOffEntered")]
+    if changes:
         lines.append("")
-        lines.append(f"TEC trajectory ({len(samples)} samples):")
-        for sample in samples[-8:]:
-            cells = " ".join(
-                f"{name}={data.get('tec', 0)}"
-                for name, data in sorted(sample.get("nodes", {}).items()))
-            lines.append(f"  t={sample.get('time', 0):>8} {cells}")
+        lines.append(f"TEC trajectory ({len(changes)} state changes in the "
+                     f"ring):")
+        for entry in changes[-8:]:
+            state = ("bus-off" if entry.get("type") == "BusOffEntered"
+                     else entry.get("new_state", "?"))
+            rec = entry.get("rec")
+            lines.append(
+                f"  t={entry.get('time', 0):>8} {entry.get('node', ''):<14} "
+                f"{str(state):<13} tec={entry.get('tec', 0)}"
+                + (f" rec={rec}" if rec is not None else ""))
     tail = dump.get("wire_tail", {})
     levels = tail.get("levels", [])
     if decode_wire_tail and levels:

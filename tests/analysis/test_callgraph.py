@@ -193,6 +193,24 @@ class TestResolution:
         assert ((a, "Node.observe") in
                 [callee for callee, _ in graph.edges[(a, "f")]])
 
+    def test_outside_module_calls_produce_no_fallback_edges(self, tmp_path):
+        """``os.close(fd)`` never runs a project method named ``close``."""
+        graph = self._graph(tmp_path, {
+            "pkg/a.py": (
+                "import os\n"
+                "class Service:\n"
+                "    def close(self):\n"
+                "        pass\n"
+                "def f(fd, service):\n"
+                "    os.close(fd)\n"
+                "def g(service):\n"
+                "    service.close()\n"),
+        })
+        a = str(tmp_path / "pkg" / "a.py")
+        assert graph.edges[(a, "f")] == []
+        assert ((a, "Service.close") in
+                [callee for callee, _ in graph.edges[(a, "g")]])
+
     def test_reachability_returns_shortest_chain(self, tmp_path):
         graph = self._graph(tmp_path, {
             "pkg/a.py": (

@@ -297,24 +297,32 @@ def test_replay_safe_observers_keep_replaying():
     assert outputs["fast"] == outputs["bit"]
 
 
-def test_flight_recorder_disables_replay():
-    """FlightRecorder samples live node state from its callback, so the
-    engine must not replay under it; its dump matches the bit engine."""
-    from repro.obs.flight import FlightRecorder
+def test_flight_recorder_rides_replay(tmp_path):
+    """FlightRecorder reads only the events it is handed, so the engine
+    replays under it exactly as often as bare; its dump and its folded log
+    match the bit engine's."""
+    from repro.obs.flight import FlightRecorder, load_dump
 
+    bare, _ = _observed_fight("fast", lambda sim: None)
     dumps = {}
     fingerprints = {}
     for engine in ("fast", "bit"):
+        path = tmp_path / f"{engine}.flight.json"
         sim, recorder = _observed_fight(
-            engine, lambda sim: FlightRecorder(sim, sample_every_bits=500))
+            engine, lambda sim: FlightRecorder(
+                sim, autoflush_path=path, flush_every=32))
+        recorder.flush(reason="abort")
         dump = recorder.dump()
-        dump.pop("ff_stats")  # engine counters differ by construction
-        dumps[engine] = dump
+        folded = load_dump(path)
+        for entry in (dump, folded):
+            entry.pop("ff_stats")  # engine counters differ by construction
+        dumps[engine] = (dump, folded)
         fingerprints[engine] = _fingerprint(sim)
         if engine == "fast":
-            assert sim.ff_stats.replayed_segments == 0
-    assert dumps["fast"] == dumps["bit"]
+            assert (sim.ff_stats.replayed_segments
+                    == bare.ff_stats.replayed_segments > 0)
     assert fingerprints["fast"] == fingerprints["bit"]
+    assert dumps["fast"] == dumps["bit"]
 
 
 def test_unmarked_listener_disables_replay():

@@ -141,6 +141,25 @@ class TestColdWarm:
         assert probe.misses == 1
 
 
+    def test_entry_bytes_match_the_streaming_encoder(self, manifest,
+                                                     tmp_path):
+        """``put`` encodes in one C-encoder pass; the file is byte for
+        byte what streaming ``json.dump`` wrote."""
+        import io
+
+        spec = ScenarioSpec("exp4", duration_bits=3000)
+        cache = ResultCache(str(tmp_path / "rc"), manifest)
+        Campaign([spec], result_cache=cache,
+                 flight_dir=str(tmp_path / "flights")).run()
+        (name,) = [n for n in os.listdir(tmp_path / "rc")
+                   if n.endswith(".json")]
+        data = (tmp_path / "rc" / name).read_bytes()
+        streamed = io.StringIO()
+        json.dump(json.loads(data), streamed, sort_keys=True)
+        streamed.write("\n")
+        assert data == streamed.getvalue().encode("utf-8")
+
+
 class TestDegradation:
     def _store_one(self, manifest, tmp_path):
         spec = ScenarioSpec("exp4", duration_bits=3000)

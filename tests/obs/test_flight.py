@@ -1,5 +1,6 @@
 """Flight recorder: bounded rings, dumps, autoflush and rendering."""
 
+import io
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from repro.node.controller import CanNode
 from repro.obs.flight import (
     FLIGHT_KIND,
     FLIGHT_SCHEMA_VERSION,
+    ROTATE_FACTOR,
     FlightRecorder,
     load_dump,
     render_dump,
@@ -39,18 +41,20 @@ class TestRecorder:
         assert times == sorted(times)
         assert times[-1] == sim.events[-1].time
 
-    def test_periodic_node_samples(self):
+    def test_trajectory_is_built_from_state_change_events(self):
         sim = fight_sim()
-        recorder = FlightRecorder(sim, sample_every_bits=500)
+        recorder = FlightRecorder(sim)
         sim.advance(5_000)
         dump = recorder.dump(reason="test")
-        samples = dump["samples"]
-        assert samples
-        for sample in samples:
-            assert set(sample["nodes"]) == {"defender", "attacker"}
-            assert "tec" in sample["nodes"]["attacker"]
-        assert [s["time"] for s in samples] == sorted(
-            s["time"] for s in samples)
+        assert "samples" not in dump
+        changes = [e for e in dump["events"]
+                   if e["type"] in ("ErrorStateChanged", "BusOffEntered")]
+        assert changes
+        assert all("tec" in e for e in changes)
+        text = render_dump(dump)
+        assert f"TEC trajectory ({len(changes)} state changes" in text
+        last = changes[-1]
+        assert f"t={last['time']:>8} {last['node']:<14}" in text
 
     def test_dump_carries_final_state_and_wire_tail(self):
         sim = fight_sim()
@@ -82,8 +86,6 @@ class TestRecorder:
         sim = fight_sim()
         with pytest.raises(ConfigurationError, match="event capacity"):
             FlightRecorder(sim, event_capacity=0)
-        with pytest.raises(ConfigurationError, match="sample period"):
-            FlightRecorder(sim, sample_every_bits=0)
         with pytest.raises(ConfigurationError, match="flush period"):
             FlightRecorder(sim, flush_every=0)
 
@@ -121,6 +123,120 @@ class TestAutoflush:
         assert recorder.flush() is None
 
 
+class TestLog:
+    def test_log_folds_to_the_recorders_dump(self, tmp_path):
+        path = tmp_path / "run.flight.json"
+        sim = fight_sim()
+        recorder = FlightRecorder(sim, autoflush_path=path, flush_every=16)
+        recorder.flush(reason="start")
+        sim.advance(3_000)
+        recorder.flush(reason="abort")
+        assert load_dump(path) == recorder.dump(reason="abort")
+
+    def test_events_after_the_checkpoint_update_node_states(self, tmp_path):
+        path = tmp_path / "run.flight.json"
+        sim = fight_sim()
+        recorder = FlightRecorder(sim, autoflush_path=path, flush_every=1)
+        recorder.flush(reason="start")
+        start = recorder.dump()["nodes"]
+        sim.advance(3_000)
+        dump = load_dump(path)
+        assert dump["reason"] == "autoflush"
+        last = [e for e in recorder.dump()["events"]
+                if e["type"] == "ErrorStateChanged"
+                and e["node"] == "attacker"][-1]
+        assert dump["nodes"]["attacker"]["error_state"] == last["new_state"]
+        assert dump["nodes"]["attacker"]["tec"] == last["tec"]
+        # Nodes without a later state change keep their start checkpoint.
+        assert dump["nodes"]["defender"] == start["defender"]
+
+    def test_torn_last_line_loses_at_most_flush_every_events(self, tmp_path):
+        path = tmp_path / "run.flight.json"
+        sim = fight_sim()
+        every = 8
+        recorder = FlightRecorder(sim, event_capacity=10_000,
+                                  autoflush_path=path, flush_every=every)
+        sim.advance(3_000)
+        ring = recorder.dump()["events"]
+        data = path.read_bytes()
+        path.write_bytes(data[:-5])  # the crash cut the last write
+        folded = load_dump(path)["events"]
+        assert folded == ring[:len(folded)]
+        assert len(ring) - every <= len(folded) < len(ring)
+
+    @pytest.mark.parametrize("content", [
+        b"",
+        b'{"kind": "repro.obs.fli',
+        b"hello, world\n",
+        b"\xff\xfe\x00garbage",
+        b"[1, 2, 3]\n",
+        b'{"kind": "other"}\n',
+        b'{"kind": "repro.obs.flight", "schema_version": 999,'
+        b' "format": "log", "event_capacity": 4}\n',
+        b'{"kind": "repro.obs.flight", "schema_version": 2,'
+        b' "format": "log", "event_capacity": "many"}\n',
+        b'{"kind": "repro.obs.flight", "schema_version": 2,'
+        b' "format": "log", "event_capacity": 4}\n{"type": "X"\n{}\n',
+        b'{"kind": "repro.obs.flight", "schema_version": 2,'
+        b' "format": "log", "event_capacity": 4}\n[1]\n',
+        b'{"kind": "repro.obs.flight", "schema_version": 2,'
+        b' "format": "log", "event_capacity": 4}\n'
+        b'{"checkpoint": "start", "nodes": [1]}\n',
+        b'{"kind": "repro.obs.flight", "schema_version": 2,'
+        b' "events": {"not": "a list"}}\n',
+        b'{"kind": "repro.obs.flight", "schema_version": 2,'
+        b' "nodes": {"a": 1}}\n',
+        b"[" * 100_000,
+    ], ids=["empty", "truncated-header", "text", "binary", "json-list",
+            "foreign-kind", "newer-schema", "bad-capacity", "corrupt-line",
+            "non-dict-line", "bad-checkpoint-nodes", "bad-events",
+            "bad-node-entry", "deep-nesting"])
+    def test_malformed_files_raise_configuration_error(self, tmp_path,
+                                                       content):
+        path = tmp_path / "bad.flight.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError):
+            load_dump(path)
+
+    def test_rotation_keeps_the_log_bounded(self, tmp_path):
+        path = tmp_path / "run.flight.json"
+        sim = fight_sim()
+        recorder = FlightRecorder(sim, autoflush_path=path, flush_every=32)
+        recorder.flush(reason="start")
+        bound = 1 + ROTATE_FACTOR * recorder.event_capacity
+        longest = 0
+        for _ in range(100):
+            sim.advance(1_000)
+            longest = max(longest, len(path.read_bytes().splitlines()))
+        assert sim.time == 100_000
+        assert len(sim.events) > 2 * bound  # it did rotate
+        assert longest <= bound
+        recorder.flush(reason="abort")
+        assert load_dump(path) == recorder.dump(reason="abort")
+
+    def test_timeout_flush_keeps_unflushed_lines(self, tmp_path):
+        path = tmp_path / "run.flight.json"
+        sim = fight_sim()
+        recorder = FlightRecorder(sim, autoflush_path=path,
+                                  flush_every=10**9)
+        sim.advance(2_000)
+        assert len(path.read_bytes().splitlines()) == 1  # header only
+        recorder.flush(reason="timeout")
+        dump = load_dump(path)
+        assert dump["reason"] == "timeout"
+        assert dump["events"] == recorder.dump()["events"]
+
+    def test_close_writes_pending_lines(self, tmp_path):
+        path = tmp_path / "run.flight.json"
+        sim = fight_sim()
+        recorder = FlightRecorder(sim, autoflush_path=path,
+                                  flush_every=10**9)
+        sim.advance(1_000)
+        recorder.close()
+        assert load_dump(path)["events"] == recorder.dump()["events"]
+        assert recorder.flush() is None
+
+
 class TestDumpIO:
     def test_write_and_load_round_trip(self, tmp_path):
         sim = fight_sim()
@@ -130,6 +246,18 @@ class TestDumpIO:
         path = tmp_path / "a.flight.json"
         write_dump(dump, path)
         assert load_dump(path) == dump
+
+    def test_dump_bytes_match_the_streaming_encoder(self, tmp_path):
+        sim = fight_sim()
+        recorder = FlightRecorder(sim)
+        sim.advance(3_000)
+        dump = recorder.dump(reason="complete")
+        path = tmp_path / "a.flight.json"
+        write_dump(dump, path)
+        streamed = io.StringIO()
+        json.dump(dump, streamed, sort_keys=True)
+        streamed.write("\n")
+        assert path.read_bytes() == streamed.getvalue().encode("utf-8")
 
     def test_load_rejects_wrong_kind_and_version(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -145,7 +273,7 @@ class TestDumpIO:
 class TestRender:
     def test_render_covers_states_events_and_wire(self):
         sim = fight_sim()
-        recorder = FlightRecorder(sim, sample_every_bits=300)
+        recorder = FlightRecorder(sim)
         sim.advance(3_000)
         text = render_dump(recorder.dump(reason="abort"))
         assert "flight recorder dump (abort)" in text
@@ -161,3 +289,18 @@ class TestRender:
         sim.advance(500)
         text = render_dump(recorder.dump(), decode_wire_tail=False)
         assert "decoded wire tail" not in text
+
+    def test_postmortem_cli_renders_a_log(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "run.flight.json"
+        sim = fight_sim()
+        recorder = FlightRecorder(sim, autoflush_path=path, flush_every=16)
+        recorder.flush(reason="start")
+        sim.advance(3_000)
+        recorder.flush(reason="timeout")
+        assert main(["trace", "postmortem", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "flight recorder dump (timeout)" in out
+        assert "TEC trajectory" in out
+        assert "decoded wire tail" in out
