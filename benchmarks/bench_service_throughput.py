@@ -1,23 +1,23 @@
-"""Campaign service throughput: batched workers vs process-per-spec.
+"""Campaign service throughput: the ``Campaign`` front end vs the bare pool.
 
-The ``<1.1x`` speedup warning in ``CampaignReport.render`` has a
-concrete cause: on short windows the per-spec process spawn rivals the
-per-spec simulation time, so parallel fan-out cannot pay for itself.
-The batched campaign service (``repro serve``) exists to delete that
-tax — its workers are spawned once and fed many specs over a pipe.
-
-This bench proves the fix with numbers, recorded to
-``BENCH_service.json`` in the repo root:
+Every campaign that needs worker processes runs on the campaign
+service's pool of long-lived workers: ``Campaign(n_workers > 1)`` (and
+any ``timeout_seconds``) builds a ``CampaignService``, submits its
+specs, drains it and maps the report back onto its spec list.  This
+bench prices that front end, recorded to ``BENCH_service.json`` in the
+repo root:
 
 * a spawn-bound workload (many very short specs) run two ways with the
-  same worker count — ``Campaign`` forced into one-process-per-spec
-  mode vs ``CampaignService`` batching over long-lived workers;
-* the batched service must be **>= 2x** faster on that workload, and
-  the two reports must be payload-identical (timing metadata aside);
-* per-spec overhead for both paths, so the recorded trajectory shows
-  what a lease round trip costs against a process spawn.
+  same worker count — ``Campaign(n_workers=2)`` vs a bare
+  ``CampaignService`` pumped directly;
+* the two reports must be payload-identical (timing metadata aside);
+* the front end must cost at most **1.25x** the bare service's wall
+  time (best of alternating rounds), so the one scheduler behind
+  ``repro campaign run`` stays as cheap as ``repro serve``'s;
+* per-spec cost for both paths, and the campaign's mean fan-out
+  overhead (lease time minus run time) per spec.
 
-Quick (``--quick``) runs shrink the workload and skip the speedup gate
+Quick (``--quick``) runs shrink the workload and skip the ratio gate
 (CI smoke containers are too noisy) but still check determinism.
 
 Regenerate:  pytest benchmarks/bench_service_throughput.py --benchmark-only -s
@@ -34,47 +34,53 @@ from repro.experiments.service.service import CampaignService
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO_ROOT / "BENCH_service.json"
 
-TARGET_SPEEDUP = 2.0
+MAX_FRONT_END_RATIO = 1.25
 WORKERS = 2
+ROUNDS = 3
 
 
 def short_specs(n, duration_bits=300):
-    """A spawn-bound workload: windows so short the fork tax dominates.
+    """A spawn-bound workload: windows so short that scheduling dominates.
 
-    ~300 bits of exp4 simulate in a couple of milliseconds; a worker
-    fork costs several times that, so process-per-spec execution is
-    mostly paying for processes, not simulation.
+    ~300 bits of exp4 simulate in a couple of milliseconds, so the
+    per-spec cost is mostly the lease round trip, not simulation.
     """
     return [ScenarioSpec("exp4", seed=seed, duration_bits=duration_bits)
             for seed in range(n)]
 
 
-def run_process_per_spec(specs):
-    """The old cost model: every spec pays for its own worker process.
-
-    A per-spec timeout forces ``Campaign`` to isolate each spec in a
-    fresh subprocess even before fan-out — exactly the overhead the
-    service amortizes away.
-    """
+def run_campaign_front_end(specs):
+    """What ``repro campaign run --workers 2`` pays, pool start included."""
     started = time.perf_counter()
-    outcome = Campaign(specs, n_workers=WORKERS,
-                       timeout_seconds=120.0).run()
+    outcome = Campaign(specs, n_workers=WORKERS).run()
     return outcome, time.perf_counter() - started
 
 
-def run_batched_service(specs, tmp_path):
-    """The service cost model: spawn the pool once, stream specs to it."""
-    service = CampaignService(str(tmp_path / "bench-journal.jsonl"),
-                              n_workers=WORKERS, heartbeat_seconds=0.5)
+def run_bare_service(specs, journal_path):
+    """The service pumped directly: spawn the pool once, stream specs."""
+    service = CampaignService(str(journal_path), n_workers=WORKERS,
+                              heartbeat_seconds=0.5)
     started = time.perf_counter()
     service.start()
     try:
         service.submit_specs(specs)
-        # Pump hard: this measures lease round trips, not sleep cadence.
         assert service.run_until_idle(poll_seconds=0.001, timeout=600)
     finally:
         service.close()
     return service.report(), time.perf_counter() - started
+
+
+def alternating_rounds(specs, tmp_path, rounds):
+    """Best wall of each path over alternating rounds (noise-robust)."""
+    front_walls, bare_walls = [], []
+    front = bare = None
+    for round_index in range(rounds):
+        front, wall = run_campaign_front_end(specs)
+        front_walls.append(wall)
+        bare, wall = run_bare_service(
+            specs, tmp_path / f"bench-journal-{round_index}.jsonl")
+        bare_walls.append(wall)
+    return front, min(front_walls), bare, min(bare_walls)
 
 
 def _record(payload):
@@ -83,22 +89,23 @@ def _record(payload):
         encoding="utf-8")
 
 
-def test_batched_service_beats_process_per_spec(benchmark, quick, tmp_path):
+def test_campaign_front_end_costs_no_more_than_the_bare_service(
+        benchmark, quick, tmp_path):
     n_specs = 6 if quick else 24
     specs = short_specs(n_specs)
 
-    per_spec, per_spec_wall = run_process_per_spec(specs)
-    batched, batched_wall = benchmark.pedantic(
-        run_batched_service, args=(specs, tmp_path), rounds=1, iterations=1)
+    front, front_wall, bare, bare_wall = benchmark.pedantic(
+        alternating_rounds, args=(specs, tmp_path, 1 if quick else ROUNDS),
+        rounds=1, iterations=1)
 
     # Determinism first: the execution strategy is timing metadata.
-    assert not per_spec.failures and not batched.failures
-    assert batched.payload_equal(per_spec)
+    assert not front.failures and not bare.failures
+    assert bare.payload_equal(front)
 
-    speedup = per_spec_wall / batched_wall
-    spawn_ms = per_spec.mean_spawn_overhead_seconds() * 1000
-    per_spec_ms = per_spec_wall / n_specs * 1000
-    batched_ms = batched_wall / n_specs * 1000
+    ratio = front_wall / bare_wall
+    overhead_ms = front.mean_spawn_overhead_seconds() * 1000
+    front_ms = front_wall / n_specs * 1000
+    bare_ms = bare_wall / n_specs * 1000
 
     if not quick:
         _record({
@@ -107,31 +114,33 @@ def test_batched_service_beats_process_per_spec(benchmark, quick, tmp_path):
                 "n_specs": n_specs,
                 "duration_bits": specs[0].duration_bits,
                 "n_workers": WORKERS,
+                "rounds": ROUNDS,
             },
-            "process_per_spec": {
-                "wall_seconds": round(per_spec_wall, 3),
-                "per_spec_ms": round(per_spec_ms, 1),
-                "mean_spawn_overhead_ms": round(spawn_ms, 1),
+            "campaign_front_end": {
+                "wall_seconds": round(front_wall, 3),
+                "per_spec_ms": round(front_ms, 1),
+                "mean_spawn_overhead_ms": round(overhead_ms, 1),
             },
-            "batched_service": {
-                "wall_seconds": round(batched_wall, 3),
-                "per_spec_ms": round(batched_ms, 1),
-                "worker_utilization": batched.worker_utilization(),
+            "bare_service": {
+                "wall_seconds": round(bare_wall, 3),
+                "per_spec_ms": round(bare_ms, 1),
+                "worker_utilization": bare.worker_utilization(),
             },
-            "speedup": round(speedup, 2),
-            "target_speedup": TARGET_SPEEDUP,
+            "front_end_ratio": round(ratio, 2),
+            "max_front_end_ratio": MAX_FRONT_END_RATIO,
         })
 
-    report("Campaign service — batched workers vs process-per-spec", [
+    report("Campaign service — Campaign front end vs bare service", [
         ("specs (short windows)", "-", n_specs),
-        ("process-per-spec wall (s)", "-", f"{per_spec_wall:.2f}"),
-        (f"batched service wall (s), {WORKERS} workers", "-",
-         f"{batched_wall:.2f}"),
-        ("mean spawn overhead per spec (ms)", "-", f"{spawn_ms:.0f}"),
-        ("per-spec cost, batched (ms)", "-", f"{batched_ms:.0f}"),
-        ("speedup", f">= {TARGET_SPEEDUP}x", f"{speedup:.1f}x"),
+        (f"Campaign front end wall (s), {WORKERS} workers", "-",
+         f"{front_wall:.3f}"),
+        (f"bare service wall (s), {WORKERS} workers", "-",
+         f"{bare_wall:.3f}"),
+        ("mean fan-out overhead per spec (ms)", "-", f"{overhead_ms:.1f}"),
+        ("per-spec cost, front end (ms)", "-", f"{front_ms:.1f}"),
+        ("front end / bare", f"<= {MAX_FRONT_END_RATIO}x", f"{ratio:.2f}x"),
         ("payloads bit-identical", True, True),
-    ], notes=f"recorded to {BENCH_FILE.name}; this is the workload the "
-             f"<1.1x render() warning points at `repro serve` for")
+    ], notes=f"recorded to {BENCH_FILE.name}; best of "
+             f"{1 if quick else ROUNDS} alternating round(s)")
     if not quick:
-        assert speedup >= TARGET_SPEEDUP
+        assert ratio <= MAX_FRONT_END_RATIO

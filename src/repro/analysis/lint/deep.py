@@ -62,10 +62,10 @@ exemption, and callers stay clean.
 On fault containment (RC203): :class:`~repro.bus.simulator.Simulator.run`
 deliberately lets :class:`~repro.errors.InjectedFaultError` propagate —
 that is how a crash fault reaches the harness.  The boundary that must be
-tight is the campaign's: ``Campaign.run`` (serial path) and
-``_subprocess_worker`` (process path) must catch every injected-fault
-exception, or one chaotic spec takes down the whole campaign instead of
-producing a failure record.
+tight is the campaign's: ``Campaign.run`` (serial path) and the worker
+pool's ``_pool_worker`` loop (isolated path) must catch every
+injected-fault exception, or one chaotic spec takes down the whole
+campaign instead of producing a failure record.
 """
 
 from __future__ import annotations
@@ -115,10 +115,13 @@ ENTRY_SPECS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 
 #: Exception boundaries for RC203, matched by path suffix + *full*
 #: qualname: no injected-fault exception may escape these uncaught.
+#: Every name must resolve (``tests/analysis/lint/test_deep.py`` checks
+#: all three tables): an entry that matches nothing drops its coverage
+#: without a word.
 FAULT_BOUNDARY_SPECS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("experiments/campaign.py", ("Campaign.run", "_subprocess_worker")),
-    # The campaign service's long-lived worker loop: an injected fault
-    # escaping here would kill the worker instead of reporting an error.
+    ("experiments/campaign.py", ("Campaign.run",)),
+    # The worker pool's long-lived loop: an injected fault escaping here
+    # would kill the worker instead of reporting an error.
     ("experiments/service/supervisor.py", ("_pool_worker",)),
 )
 
@@ -126,8 +129,7 @@ FAULT_BOUNDARY_SPECS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 #: :data:`ENTRY_SPECS` (path suffix + last qualname segment).  Statically
 #: resolvable registered scenario factories are added per project on top.
 WORKER_ENTRY_SPECS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("experiments/campaign.py", ("_subprocess_worker", "execute_spec",
-                                 "build")),
+    ("experiments/campaign.py", ("execute_spec", "build")),
     ("experiments/service/supervisor.py", ("_pool_worker",)),
     ("bus/simulator.py", ("advance", "advance_until")),
 )

@@ -28,7 +28,6 @@ from repro.bus.fastforward import (
     FastForwardEngine,
     FastForwardStats,
 )
-from repro.bus.noise import BurstNoiseWire, NoisyWire
 from repro.bus.simulator import CanBusSimulator
 from repro.bus.wire import Wire, resolve
 
@@ -37,14 +36,12 @@ __all__ = [
     "AttackDetected",
     "BusOffEntered",
     "BusOffRecovered",
-    "BurstNoiseWire",
     "CanBusSimulator",
     "FAST_FORWARD_POLICIES",
     "FastForwardEngine",
     "FastForwardStats",
     "GatewayNode",
     "MultiBusSimulation",
-    "NoisyWire",
     "Route",
     "RouteTable",
     "CounterattackEnded",

@@ -510,8 +510,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print("error: --resume needs --checkpoint FILE", file=sys.stderr)
         return 2
     if args.telemetry and not args.checkpoint:
-        print("error: --telemetry needs --checkpoint FILE (it streams over "
-              "the checkpoint channel)", file=sys.stderr)
+        print("error: --telemetry needs --checkpoint FILE (it streams into "
+              "the work journal)", file=sys.stderr)
         return 2
     if args.cache and args.no_cache:
         print("error: --cache and --no-cache are mutually exclusive",
@@ -1119,23 +1119,25 @@ def build_parser() -> argparse.ArgumentParser:
     cp = campaign_sub.add_parser("run", help="run a campaign of specs")
     _add_spec_flags(cp)
     cp.add_argument("--workers", type=int, default=1,
-                    help="worker processes (1 = serial)")
+                    help="long-lived worker processes (1 = serial, "
+                         "in-process)")
     cp.add_argument("--out", default=None,
                     help="write the CampaignReport JSON here")
     cp.add_argument("--snapshot-dir", default=None, metavar="DIR",
                     help="write per-spec snapshot JSONL timelines here")
     cp.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                    help="per-spec wall-clock timeout (forces worker "
+                    help="per-spec wall-clock lease (forces worker "
                          "processes)")
     cp.add_argument("--retries", type=int, default=0,
                     help="retry a failed/crashed/timed-out spec up to N times")
     cp.add_argument("--backoff", type=float, default=0.1, metavar="SECONDS",
                     help="base delay before a retry (doubles per attempt)")
     cp.add_argument("--checkpoint", default=None, metavar="FILE",
-                    help="append finished results to this JSONL file as "
-                         "they land")
+                    help="work journal (the `repro serve --journal` "
+                         "format) that records every spec as it runs")
     cp.add_argument("--resume", action="store_true",
-                    help="skip specs already completed in --checkpoint")
+                    help="replay specs already done in the --checkpoint "
+                         "journal and run the rest")
     cp.add_argument("--flight-dir", default=None, metavar="DIR",
                     help="record per-spec flight-recorder dumps here "
                          "(post-mortems for crashed/timed-out workers)")
@@ -1159,10 +1161,9 @@ def build_parser() -> argparse.ArgumentParser:
     cp = campaign_sub.add_parser("show", help="render a stored report")
     cp.add_argument("report")
     cp = campaign_sub.add_parser(
-        "watch", help="render live progress from a telemetry checkpoint "
-                      "or a `repro serve` work journal")
-    cp.add_argument("checkpoint", help="the campaign's --checkpoint file "
-                                       "(or the service's --journal)")
+        "watch", help="render live progress from a work journal")
+    cp.add_argument("checkpoint", help="the campaign's --checkpoint or the "
+                                       "service's --journal")
     cp.add_argument("--follow", action="store_true",
                     help="keep re-rendering until the campaign finishes")
     cp.add_argument("--interval", type=float, default=1.0, metavar="SECONDS",
@@ -1250,9 +1251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retries", type=int, default=0,
                    help="retry a failed run up to N times")
     p.add_argument("--checkpoint", default=None, metavar="FILE",
-                   help="incremental JSONL checkpoint for --resume")
+                   help="work journal for --resume")
     p.add_argument("--resume", action="store_true",
-                   help="skip runs already completed in --checkpoint")
+                   help="replay runs already done in the --checkpoint "
+                        "journal")
     p.add_argument("--out", default=None,
                    help="write the DegradationCurve JSON here")
 

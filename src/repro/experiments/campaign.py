@@ -12,9 +12,10 @@ that shape first-class:
   run (factory name + params + seed + duration + optional
   :class:`~repro.faults.plan.FaultPlan`) that any worker process can
   rebuild into a fresh simulator;
-* a :class:`Campaign` fans a list of specs out over worker processes
-  (serial fallback for ``n_workers=1``) and collects a JSON-serializable
-  :class:`CampaignReport`.
+* a :class:`Campaign` runs a list of specs, in-process for
+  ``n_workers=1`` or on the campaign service's long-lived worker pool
+  (:mod:`repro.experiments.service`) when it needs process isolation,
+  and collects a JSON-serializable :class:`CampaignReport`.
 
 Determinism guarantee: workers re-seed the ``random`` module from
 ``spec.seed`` before building, and factories that take a ``seed`` parameter
@@ -26,21 +27,23 @@ Robustness guarantee: a worker that raises, crashes hard, or exceeds the
 per-spec wall-clock timeout does not abort the fan-out.  The spec is
 retried with exponential backoff up to ``max_retries`` times; a spec that
 never completes becomes a structured :class:`RunFailure` in the report.
-With a ``checkpoint`` path every completed record is persisted
-incrementally (JSONL), and ``run(resume=True)`` skips the specs the
-checkpoint already holds.
+With a ``checkpoint`` path every state transition is appended to a work
+journal (:class:`~repro.experiments.service.journal.WorkJournal`, the
+format ``repro serve --journal`` writes), and ``run(resume=True)``
+replays the specs the journal already completed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 import os
 import random
 import time as _time
 from dataclasses import dataclass, field
-from multiprocessing import current_process, get_context
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from multiprocessing import current_process
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentResult
@@ -211,8 +214,27 @@ class ScenarioSpec:
 
 
 def spec_key(spec: ScenarioSpec) -> str:
-    """Canonical identity of a spec (checkpoint/resume bookkeeping)."""
+    """Canonical identity of a spec (its sorted JSON dict)."""
     return json.dumps(spec.to_dict(), sort_keys=True)
+
+
+def spec_digest(spec: ScenarioSpec) -> str:
+    """The content address of ``spec``: the work journal's ``key``.
+
+    SHA-256 over the canonical spec dict (:func:`spec_key`) and the
+    campaign schema version: identical specs collapse to one key, any
+    field flip or schema bump moves the address.
+    """
+    blob = json.dumps({"campaign_schema": SCHEMA_VERSION,
+                       "spec": spec_key(spec)}, sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def flight_dump_path(flight_dir: Optional[str], key: str) -> Optional[str]:
+    """Where the spec with journal ``key`` keeps its flight dump."""
+    if flight_dir is None:
+        return None
+    return os.path.join(flight_dir, f"{key[:16]}.flight.json")
 
 
 # ---------------------------------------------------------------- records
@@ -225,8 +247,8 @@ class RunRecord:
     ``spawn_overhead_seconds`` are *timing metadata* — excluded from the
     determinism contract and from :meth:`CampaignReport.payload_equal`
     comparisons.  ``spawn_overhead_seconds`` is the parallel fan-out tax:
-    parent-observed wall time minus the worker's in-process run time
-    (process spawn, import replay, result pickling); always 0.0 on the
+    the parent-observed lease time minus the worker's in-process run time
+    (spec build, pipe round trip, result pickling); always 0.0 on the
     serial path.
 
     ``cache_hit`` marks a record replayed from the content-addressed
@@ -275,8 +297,9 @@ class RunRecord:
 
 
 #: Failure kinds a spec can end with after exhausting its retries.
-#: ``"poison"`` is produced only by the campaign service's supervisor:
-#: a spec that killed enough workers to be quarantined.
+#: ``"poison"`` is no longer produced (a quarantined spec carries the
+#: cause of its last kill); it stays so that older journals and reports
+#: still load.
 FAILURE_KINDS = ("error", "crash", "timeout", "poison")
 
 
@@ -285,10 +308,11 @@ class RunFailure:
     """One spec that never completed: what happened, after how many tries.
 
     ``kind`` is ``"error"`` (the worker raised), ``"crash"`` (the worker
-    process died without reporting), ``"timeout"`` (the per-spec
-    wall-clock budget ran out and the worker was terminated) or
-    ``"poison"`` (the campaign service quarantined a spec that kept
-    killing its workers).
+    process died without reporting) or ``"timeout"`` (the per-spec
+    lease ran out, or the worker went silent, and it was terminated).
+    A spec that kept killing its workers is quarantined with the kind of
+    its last kill.  ``"poison"`` appears only in reports written before
+    that rule.
     """
 
     spec: ScenarioSpec
@@ -477,9 +501,9 @@ class CampaignReport:
                         f"WARNING: parallel fan-out gained <1.1x over serial "
                         f"— mean spawn overhead {mean_overhead * 1000:.0f} ms "
                         f"vs mean run {mean_run * 1000:.0f} ms per spec "
-                        f"(utilization {utilization_text}); use n_workers=1, "
-                        f"longer duration_bits, or the batched campaign "
-                        f"service (`repro serve`)")
+                        f"(utilization {utilization_text}); these windows "
+                        f"are too short to share out, use n_workers=1 or "
+                        f"longer duration_bits")
         for record in self.records:
             lines.append("")
             cached = " (cached)" if record.cache_hit else ""
@@ -596,22 +620,6 @@ def execute_spec(spec: ScenarioSpec,
     return record
 
 
-def _subprocess_worker(conn: Any, spec: ScenarioSpec,
-                       flight_path: Optional[str] = None) -> None:
-    """Child-process entry: run one spec, report through the pipe."""
-    if flight_path is not None:
-        import signal
-
-        signal.signal(signal.SIGTERM, _flush_flight_and_exit)
-    try:
-        record = execute_spec(spec, flight_path=flight_path)
-        conn.send(("ok", record.to_dict()))
-    except Exception as exc:  # deliberate: any worker failure is reported
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
-
-
 def _load_flight_dump(path: Optional[str]) -> Optional[Dict[str, Any]]:
     """Best-effort load of a worker's on-disk dump (None when absent)."""
     if not path or not os.path.exists(path):
@@ -624,123 +632,48 @@ def _load_flight_dump(path: Optional[str]) -> Optional[Dict[str, Any]]:
         return None  # half-written or foreign file: no post-mortem
 
 
-class _Checkpoint:
-    """Incremental JSONL persistence of finished specs (single writer).
-
-    One line per finished spec: ``{"type": "record"|"failure", "key":
-    <spec_key>, "schema_version": N, ...payload...}``.  A truncated
-    trailing line (parent died mid-write) is skipped on load, so resume
-    survives its own crashes; a parseable line stamped with a *newer*
-    schema version is a clean error (the file belongs to a newer build),
-    never a silent misread.
-
-    Durability degrades gracefully: an append that raises ``OSError``
-    (disk full, permissions, or an injected ``store.write_failure``
-    fault) is announced with a loud :class:`RuntimeWarning` and counted
-    in :attr:`write_failures`, but never aborts the campaign — the
-    results still reach the in-memory report; only resumability is lost.
-    """
-
-    def __init__(self, path: str, fault: Optional[Any] = None) -> None:
-        self.path = os.fspath(path)
-        self.fault = fault
-        self.write_failures = 0
-
-    def reset(self) -> None:
-        with open(self.path, "w", encoding="utf-8"):
-            pass
-
-    def _append(self, entry: Dict[str, Any]) -> None:
-        import warnings
-
-        try:
-            if self.fault is not None:
-                self.fault.before_write(f"checkpoint {self.path}")
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-                handle.flush()
-        except OSError as exc:
-            self.write_failures += 1
-            warnings.warn(
-                f"checkpoint write to {self.path!r} failed ({exc}); the "
-                f"campaign continues but this entry will NOT be resumable "
-                f"({self.write_failures} write failure(s) so far)",
-                RuntimeWarning, stacklevel=3)
-
-    def append_record(self, record: RunRecord) -> None:
-        self._append({"type": "record", "key": spec_key(record.spec),
-                      "schema_version": SCHEMA_VERSION,
-                      "record": record.to_dict()})
-
-    def append_failure(self, failure: RunFailure) -> None:
-        self._append({"type": "failure", "key": spec_key(failure.spec),
-                      "schema_version": SCHEMA_VERSION,
-                      "failure": failure.to_dict()})
-
-    def load_records(self) -> Dict[str, RunRecord]:
-        """Completed records by spec key (failures are always re-run).
-
-        Raises :class:`~repro.errors.ConfigurationError` when the file
-        carries entries stamped by a newer schema version.
-        """
-        if not os.path.exists(self.path):
-            return {}
-        records: Dict[str, RunRecord] = {}
-        with open(self.path, encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn write from a previous crash
-                if not isinstance(entry, dict):
-                    continue
-                version = entry.get("schema_version")
-                if (entry.get("type") in ("record", "failure")
-                        and isinstance(version, int)
-                        and version > SCHEMA_VERSION):
-                    raise ConfigurationError(
-                        f"checkpoint {self.path!r} line {number} was "
-                        f"written by schema v{version}; this build reads "
-                        f"v{SCHEMA_VERSION} — refusing to resume from a "
-                        f"newer format")
-                if entry.get("type") == "record" and "key" in entry:
-                    records[entry["key"]] = RunRecord.from_dict(
-                        entry["record"])
-        return records
-
-
 class Campaign:
-    """Execute a list of :class:`ScenarioSpec` over worker processes.
+    """Execute a list of :class:`ScenarioSpec`, in-process or on workers.
+
+    ``n_workers=1`` without a timeout runs every spec in this process (no
+    multiprocessing side effects, easier debugging).  Anything that needs
+    process isolation — ``n_workers > 1`` with more than one spec to run,
+    or any ``timeout_seconds`` — runs on a
+    :class:`~repro.experiments.service.service.CampaignService` that
+    :meth:`run` builds and drains itself: one scheduler, one journal
+    format and one failure taxonomy for ``repro campaign run`` and
+    ``repro serve``.
 
     Args:
         specs: The runs, in order.  Report records keep this order
-            regardless of which worker finishes first.
-        n_workers: Process count; ``1`` runs everything in-process (no
-            multiprocessing import-side effects, easier debugging) unless
-            a timeout forces worker isolation.
-        timeout_seconds: Per-spec wall-clock budget.  Exceeding it kills
-            the worker and counts as one failed attempt.  Any timeout
-            (even with ``n_workers=1``) runs specs in subprocesses so
-            they can be terminated.
+            regardless of which worker finishes first (on workers, a
+            spec listed twice runs once and fills both positions).
+        n_workers: Worker process count; ``1`` runs in-process unless a
+            timeout forces worker isolation.
+        timeout_seconds: Per-spec wall-clock budget (the service's lease).
+            Exceeding it kills the worker and spends one attempt.  Any
+            timeout (even with ``n_workers=1``) runs specs in worker
+            processes so they can be terminated.
         max_retries: How many times a failed spec is retried before it is
-            recorded as a :class:`RunFailure` (0 = no retries).
+            recorded as a :class:`RunFailure` (0 = no retries).  Every
+            kill (crash or timeout) spends one retry too.
         retry_backoff_seconds: Base of the exponential backoff between
             attempts (``base * 2**(attempt-1)`` seconds).
-        checkpoint: Optional JSONL path; every finished spec is persisted
-            immediately, and :meth:`run` with ``resume=True`` skips specs
-            the checkpoint already completed.
+        checkpoint: Optional work-journal path (the format of ``repro
+            serve --journal``); every state transition is appended as it
+            happens, and :meth:`run` with ``resume=True`` replays the
+            specs the journal already completed and re-runs the rest.
         flight_dir: Optional directory; every spec runs with a flight
             recorder autoflushing its dump to
-            ``<flight_dir>/<index>_<spec>.flight.json``, so crashed,
-            hung and fault-aborted workers leave a post-mortem the
-            report attaches to the :class:`RunFailure`.
+            ``<flight_dir>/<key[:16]>.flight.json`` (``key`` is
+            :func:`spec_digest`), so crashed, hung and fault-aborted
+            workers leave a post-mortem the report attaches to the
+            :class:`RunFailure`.
         telemetry: Stream live progress lines (spec start/finish/retry,
-            per-worker heartbeats) over the checkpoint channel for
+            per-worker heartbeats) into the journal for
             ``repro campaign watch``; requires ``checkpoint``.
-        heartbeat_seconds: Minimum spacing of per-worker heartbeat lines.
+        heartbeat_seconds: Worker heartbeat period, and the minimum
+            spacing of per-worker heartbeat lines.
         result_cache: Optional
             :class:`~repro.experiments.resultcache.ResultCache`.  Specs
             whose scenario the cache's purity manifest certifies as pure
@@ -749,8 +682,8 @@ class Campaign:
             successful fresh run.  Failures are never cached.
         store_fault: Optional
             :class:`~repro.faults.store.StoreWriteFault` injected into
-            checkpoint appends — proves the graceful-degradation
-            contract (run completes, loud warning, no silent loss).
+            journal appends — proves the graceful-degradation contract
+            (run completes, loud warning, no silent loss).
 
     Example:
         >>> from repro.experiments.campaign import Campaign, ScenarioSpec
@@ -790,7 +723,7 @@ class Campaign:
                 f"got {retry_backoff_seconds}")
         if telemetry and checkpoint is None:
             raise ConfigurationError(
-                "telemetry streams over the checkpoint channel; "
+                "telemetry streams into the work journal; "
                 "give a checkpoint path")
         if heartbeat_seconds <= 0:
             raise ConfigurationError(
@@ -811,63 +744,58 @@ class Campaign:
         self.heartbeat_seconds = heartbeat_seconds
         self.result_cache = result_cache
         #: Optional :class:`~repro.faults.store.StoreWriteFault` applied
-        #: to checkpoint appends (degradation testing).
+        #: to journal appends (degradation testing).
         self.store_fault = store_fault
 
     def _backoff(self, attempt: int) -> float:
         return self.retry_backoff_seconds * (2 ** (attempt - 1))
 
-    def _flight_path(self, index: int) -> Optional[str]:
-        if self.flight_dir is None:
-            return None
-        safe = self.specs[index].name.replace(os.sep, "_").replace("#", "_")
-        return os.path.join(self.flight_dir, f"{index:03d}_{safe}.flight.json")
-
     def run(self, resume: bool = False) -> CampaignReport:
         started = _time.perf_counter()
-        checkpoint = (_Checkpoint(self.checkpoint, fault=self.store_fault)
-                      if self.checkpoint is not None else None)
-        if resume and checkpoint is None:
+        if resume and self.checkpoint is None:
             raise ConfigurationError(
                 "resume requires a checkpoint path")
         records: Dict[int, RunRecord] = {}
         failures: Dict[int, RunFailure] = {}
-        if checkpoint is not None and resume:
-            done = checkpoint.load_records()
-            for index, spec in enumerate(self.specs):
-                key = spec_key(spec)
-                if key in done:
-                    records[index] = done[key]
-        elif checkpoint is not None:
-            checkpoint.reset()
+        journal = None
+        if self.checkpoint is not None:
+            from repro.experiments.service.journal import WorkJournal
+
+            journal = WorkJournal(self.checkpoint, fault=self.store_fault)
+            if resume:
+                done = journal.load().records
+                for index, spec in enumerate(self.specs):
+                    record = done.get(spec_digest(spec))
+                    if record is not None:
+                        records[index] = record
+            else:
+                journal.reset()
         if self.flight_dir is not None:
             os.makedirs(self.flight_dir, exist_ok=True)
+        if self.result_cache is not None:
+            for index, spec in enumerate(self.specs):
+                if index in records:
+                    continue  # already satisfied by the journal
+                cached = self.result_cache.get(spec)
+                if cached is not None:
+                    records[index] = cached
+        pending = [index for index in range(len(self.specs))
+                   if index not in records]
+        isolated = bool(pending) and (self.timeout_seconds is not None or (
+            self.n_workers > 1 and len(pending) > 1))
         telemetry = None
         if self.telemetry:
             from repro.experiments.telemetry import TelemetryWriter
 
             telemetry = TelemetryWriter(
                 self.checkpoint, heartbeat_seconds=self.heartbeat_seconds)
-        if self.result_cache is not None:
-            for index, spec in enumerate(self.specs):
-                if index in records:
-                    continue  # already satisfied by the checkpoint
-                cached = self.result_cache.get(spec)
-                if cached is not None:
-                    records[index] = cached
-        pending = [index for index in range(len(self.specs))
-                   if index not in records]
-        if telemetry is not None:
-            telemetry.campaign_started(
-                len(self.specs), len(pending), self.n_workers)
-        if pending:
-            serial_ok = self.timeout_seconds is None
-            if serial_ok and (self.n_workers == 1 or len(pending) <= 1):
-                self._run_serial(pending, records, failures, checkpoint,
-                                 telemetry)
-            else:
-                self._run_processes(pending, records, failures, checkpoint,
-                                    telemetry)
+            if not isolated:  # else the service announces it
+                telemetry.campaign_started(
+                    len(self.specs), len(pending), self.n_workers)
+        if isolated:
+            self._run_isolated(pending, records, failures)
+        elif pending:
+            self._run_serial(pending, records, failures, journal, telemetry)
         if self.result_cache is not None:
             for index in pending:
                 record = records.get(index)
@@ -890,16 +818,23 @@ class Campaign:
         pending: Sequence[int],
         records: Dict[int, RunRecord],
         failures: Dict[int, RunFailure],
-        checkpoint: Optional[_Checkpoint],
+        journal: Optional[Any],
         telemetry: Optional[Any] = None,
     ) -> None:
         worker = current_process().name
+        keys = {index: spec_digest(self.specs[index]) for index in pending}
+        if journal is not None:
+            for index in pending:
+                journal.record_queued(keys[index], self.specs[index])
         for index in pending:
             spec = self.specs[index]
-            flight_path = self._flight_path(index)
+            key = keys[index]
+            flight_path = flight_dump_path(self.flight_dir, key)
             attempt = 0
             while True:
                 attempt += 1
+                if journal is not None:
+                    journal.record_leased(key, worker, attempt)
                 if telemetry is not None:
                     telemetry.spec_started(spec.name, attempt, worker)
                 spec_started = _time.perf_counter()
@@ -924,152 +859,71 @@ class Campaign:
                     if telemetry is not None:
                         telemetry.spec_finished(spec.name, attempt, worker,
                                                 "error", wall)
-                    if checkpoint is not None:
-                        checkpoint.append_failure(failure)
+                    if journal is not None:
+                        journal.record_failed(key, failure)
                     break
                 records[index] = record
                 if telemetry is not None:
                     telemetry.spec_finished(spec.name, attempt, worker,
                                             "ok", record.wall_seconds)
-                if checkpoint is not None:
-                    checkpoint.append_record(record)
+                if journal is not None:
+                    journal.record_done(key, record)
                 break
 
-    # ---------------------------------------------------- process path
+    # ----------------------------------------------------- isolated path
 
-    def _run_processes(
+    def _run_isolated(
         self,
         pending: Sequence[int],
         records: Dict[int, RunRecord],
         failures: Dict[int, RunFailure],
-        checkpoint: Optional[_Checkpoint],
-        telemetry: Optional[Any] = None,
     ) -> None:
-        """Process-per-spec scheduler with crash/timeout detection.
+        """Run ``pending`` on a :class:`CampaignService` built and drained
+        here: long-lived workers, lease expiry for the timeout, ``died``
+        events for crashes, and the service's journal for persistence.
 
-        Unlike ``Pool.map`` this can terminate a hung worker and notice a
-        dead one: each spec runs in its own process reporting through a
-        pipe, and the parent polls for results, deaths and deadline
-        overruns, requeuing failed specs with exponential backoff.
+        Every kill spends one retry (``poison_threshold = max_retries +
+        1``), and since kills are bounded that way the restart budget is
+        sized so that no worker slot is ever retired.
         """
-        ctx = get_context()
-        workers = min(self.n_workers, len(pending))
-        #: (spec index, attempt number, earliest start monotonic time)
-        ready: List[Tuple[int, int, float]] = [
-            (index, 1, 0.0) for index in pending]
-        running: Dict[int, Tuple[Any, Any, int, float]] = {}
+        import tempfile
 
-        def finish(index: int, kind: str, message: str,
-                   attempt: int, wall: float, worker: str) -> None:
-            spec_name = self.specs[index].name
-            if attempt <= self.max_retries:
-                if telemetry is not None:
-                    telemetry.spec_retry(spec_name, attempt, kind,
-                                         self._backoff(attempt))
-                ready.append((index, attempt + 1,
-                              _time.monotonic() + self._backoff(attempt)))
-                return
-            flight_path = self._flight_path(index)
-            failure = RunFailure(
-                spec=self.specs[index], kind=kind, error=message,
-                attempts=attempt, wall_seconds=wall, worker=worker,
-                flight=_load_flight_dump(flight_path),
-                flight_path=flight_path or "")
-            failures[index] = failure
-            if telemetry is not None:
-                telemetry.spec_finished(spec_name, attempt, worker, kind,
-                                        wall)
-            if checkpoint is not None:
-                checkpoint.append_failure(failure)
+        from repro.experiments.service.service import CampaignService
 
-        while ready or running:
-            now = _time.monotonic()
-            progressed = False
-            while len(running) < workers:
-                eligible = [item for item in ready if item[2] <= now]
-                if not eligible:
-                    break
-                item = min(eligible)
-                ready.remove(item)
-                index, attempt, _ = item
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_subprocess_worker,
-                    args=(child_conn, self.specs[index],
-                          self._flight_path(index)),
-                    name=f"campaign-{index}-try{attempt}")
-                proc.start()
-                child_conn.close()
-                running[index] = (proc, parent_conn, attempt,
-                                  _time.monotonic())
-                if telemetry is not None:
-                    telemetry.spec_started(self.specs[index].name, attempt,
-                                           proc.name)
-                progressed = True
-
-            for index in list(running):
-                proc, conn, attempt, launch_time = running[index]
-                worker_died = not proc.is_alive()
-                payload: Optional[Tuple[str, Any]] = None
-                if conn.poll():
-                    try:
-                        payload = conn.recv()
-                    except (EOFError, OSError):
-                        payload = None
-                wall = _time.monotonic() - launch_time
-                if payload is not None:
-                    proc.join()
-                    conn.close()
-                    del running[index]
-                    progressed = True
-                    status, body = payload
-                    if status == "ok":
-                        record = RunRecord.from_dict(body)
-                        # Parent-observed wall minus the worker's own run
-                        # time = spawn/import/pickling tax of the fan-out.
-                        record.spawn_overhead_seconds = max(
-                            0.0, wall - record.wall_seconds)
-                        records[index] = record
-                        if telemetry is not None:
-                            telemetry.spec_finished(
-                                record.spec.name, attempt, proc.name,
-                                "ok", record.wall_seconds)
-                        if checkpoint is not None:
-                            checkpoint.append_record(record)
-                    else:
-                        finish(index, "error", str(body), attempt, wall,
-                               proc.name)
-                elif worker_died:
-                    proc.join()
-                    conn.close()
-                    del running[index]
-                    progressed = True
-                    finish(index, "crash",
-                           f"worker exited with code {proc.exitcode} "
-                           f"without reporting a result",
-                           attempt, wall, proc.name)
-                elif telemetry is not None and (
-                        self.timeout_seconds is None
-                        or wall <= self.timeout_seconds):
-                    # Still running within budget: sign of life (the
-                    # writer rate-limits to one line per worker/second).
-                    telemetry.heartbeat(proc.name, self.specs[index].name,
-                                        wall)
-                if (payload is None and not worker_died
-                        and self.timeout_seconds is not None
-                        and wall > self.timeout_seconds):
-                    proc.terminate()
-                    proc.join()
-                    conn.close()
-                    del running[index]
-                    progressed = True
-                    finish(index, "timeout",
-                           f"exceeded the {self.timeout_seconds} s "
-                           f"per-spec timeout and was terminated",
-                           attempt, wall, proc.name)
-
-            if not progressed:
-                _time.sleep(0.01)
+        keys = {index: spec_digest(self.specs[index]) for index in pending}
+        unique = {keys[index]: self.specs[index] for index in pending}
+        kill_budget = self.max_retries + 1
+        with tempfile.TemporaryDirectory(prefix="repro-campaign-") as scratch:
+            service = CampaignService(
+                self.checkpoint or os.path.join(scratch, "journal.jsonl"),
+                n_workers=min(self.n_workers, len(unique)),
+                queue_capacity=len(unique),
+                lease_seconds=self.timeout_seconds,
+                heartbeat_seconds=self.heartbeat_seconds,
+                max_retries=self.max_retries,
+                retry_backoff_seconds=self.retry_backoff_seconds,
+                poison_threshold=kill_budget,
+                restart_backoff_seconds=0.0,
+                max_worker_restarts=len(unique) * kill_budget,
+                flight_dir=self.flight_dir,
+                telemetry=self.telemetry,
+                store_fault=self.store_fault)
+            try:
+                service.start()
+                service.submit_specs(list(unique.values()))
+                service.run_until_idle()
+            finally:
+                service.close()
+        report = service.report()
+        done = {spec_digest(record.spec): record for record in report.records}
+        lost = {spec_digest(failure.spec): failure
+                for failure in report.failures}
+        for index in pending:
+            key = keys[index]
+            if key in done:
+                records[index] = done[key]
+            else:
+                failures[index] = lost[key]
 
 
 _register_builtin_scenarios()

@@ -234,7 +234,8 @@ def run_degradation_sweep(
     For every intensity x seed the fight and the benign scenario run once
     (with metrics) through the robust campaign engine, so a crashing or
     hanging grid point degrades to a ``failed_runs`` count instead of
-    killing the sweep.
+    killing the sweep.  ``checkpoint`` names the campaign's work journal,
+    and ``resume`` replays the runs it already completed.
     """
     from repro.experiments.campaign import Campaign, ScenarioSpec
 

@@ -13,7 +13,7 @@ Layers, bottom up:
 * :mod:`~repro.experiments.service.service` —
   :class:`~repro.experiments.service.service.CampaignService`, the
   cooperative scheduler tying the three together (retry backoff,
-  poison quarantine, graceful drain);
+  quarantine of worker-killing specs, graceful drain);
 * :mod:`~repro.experiments.service.server` — the ``repro serve``
   asyncio unix-socket front end and its blocking client helper.
 

@@ -10,13 +10,14 @@ state transition of every submitted spec is one appended JSON line::
     {"type": "work", ..., "state": "done",   "key": ..., "record": {...}}
     {"type": "work", ..., "state": "failed", "key": ..., "failure": {...}}
 
-``key`` is the **content address** of the spec — a SHA-256 over its
-canonical dict plus the campaign schema version — so resubmitting an
+``key`` is the **content address** of the spec
+(:func:`~repro.experiments.campaign.spec_digest`: a SHA-256 over its
+canonical dict plus the campaign schema version) — so resubmitting an
 identical spec dedupes instead of re-running, and a journal written on
-one host merges cleanly with one written on another.
+one host merges cleanly with one written on another.  ``repro serve``
+and ``repro campaign run --checkpoint`` write the same format.
 
-Reading follows the checkpoint discipline established in PR 4 and
-hardened here against adversarial files:
+Reading is hardened against adversarial files:
 
 * a torn trailing (or mid-file) line — the writer died mid-append — is
   skipped;
@@ -38,7 +39,6 @@ keeps the run alive in memory and only durability (resume) is lost.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import warnings
@@ -50,8 +50,11 @@ from repro.experiments.campaign import (
     RunFailure,
     RunRecord,
     ScenarioSpec,
-    spec_key,
+    spec_digest,
 )
+
+__all__ = ["JOURNAL_SCHEMA_VERSION", "WORK_STATES", "JournalSchemaError",
+           "JournalState", "WorkJournal", "spec_digest"]
 
 #: Bump when the journal line layout changes incompatibly.
 JOURNAL_SCHEMA_VERSION = 1
@@ -64,20 +67,6 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 class JournalSchemaError(ConfigurationError):
     """A journal was written by a newer schema version than this build."""
-
-
-def spec_digest(spec: ScenarioSpec) -> str:
-    """The content address of ``spec`` (the journal's ``key``).
-
-    SHA-256 over the canonical spec dict (:func:`spec_key`) and the
-    campaign schema version: identical specs collapse to one key, any
-    field flip or schema bump moves the address.
-    """
-    from repro.experiments.campaign import SCHEMA_VERSION
-
-    blob = json.dumps({"campaign_schema": SCHEMA_VERSION,
-                       "spec": spec_key(spec)}, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -191,7 +180,7 @@ class WorkJournal:
                 except json.JSONDecodeError:
                     continue  # torn write from a dead writer
                 if not isinstance(entry, dict) or entry.get("type") != "work":
-                    continue  # telemetry / checkpoint / foreign lines
+                    continue  # telemetry / foreign lines
                 self._fold_entry(state, entry, number)
         return state
 

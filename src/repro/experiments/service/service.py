@@ -7,7 +7,9 @@ into a :class:`~repro.experiments.service.queue.BoundedWorkQueue`
 (:class:`~repro.experiments.service.journal.WorkJournal`), and a
 :class:`~repro.experiments.service.supervisor.WorkerPool` of long-lived
 batched workers executes specs with heartbeat liveness, lease stealing,
-bounded restarts and poison quarantine.
+bounded restarts and quarantine of specs that keep killing workers.
+``repro serve`` runs on it, and so does every ``Campaign.run`` that needs
+process isolation.
 
 Guarantees:
 
@@ -43,12 +45,11 @@ from repro.experiments.campaign import (
     RunRecord,
     ScenarioSpec,
     _load_flight_dump,
+    flight_dump_path,
     scenario_factory,
-)
-from repro.experiments.service.journal import (
-    WorkJournal,
     spec_digest,
 )
+from repro.experiments.service.journal import WorkJournal
 from repro.experiments.service.queue import BoundedWorkQueue, QueueFullError
 from repro.experiments.service.supervisor import WorkerEvent, WorkerPool
 
@@ -78,8 +79,9 @@ class CampaignService:
             ``poison_threshold`` instead).
         retry_backoff_seconds: Base of the per-spec retry backoff.
         poison_threshold: A spec that killed this many workers (crash or
-            stolen lease) is quarantined as a ``"poison"`` failure with
-            its flight dump attached, instead of being retried forever.
+            stolen lease) is quarantined instead of being retried forever:
+            it fails with the kind of its last kill (``"crash"`` or
+            ``"timeout"``) and its flight dump attached.
         restart_backoff_seconds / max_worker_restarts: Worker restart
             policy (see :class:`WorkerPool`).
         flight_dir: Per-spec flight-recorder dumps land here.
@@ -259,9 +261,11 @@ class CampaignService:
         for event in self.pool.poll():  # repro: noqa[RC402]
             self._handle_event(event, now)
         for slot in self.pool.expired_leases(now):
+            held = now - slot.leased_at
             key = self.pool.steal(slot, now)
             if key is not None and not self._settled(key):
                 self._worker_killed(key, slot.name, slot.attempt,
+                                    "timeout", held,
                                     "lease expired (worker hung or too "
                                     "slow); lease stolen", now)
         self._fail_stranded_work(now)
@@ -274,7 +278,11 @@ class CampaignService:
 
     def run_until_idle(self, poll_seconds: float = 0.02,
                        timeout: Optional[float] = None) -> bool:
-        """Pump until idle; False when ``timeout`` elapsed first."""
+        """Pump until idle; False when ``timeout`` elapsed first.
+
+        Between pumps it waits for a worker message or exit, at most
+        ``poll_seconds`` (the cadence of lease-expiry and backoff checks).
+        """
         deadline = (None if timeout is None
                     else _time.monotonic() + timeout)
         while True:
@@ -283,7 +291,7 @@ class CampaignService:
                 return True
             if deadline is not None and _time.monotonic() > deadline:
                 return False
-            _time.sleep(poll_seconds)
+            self.pool.wait_for_events(poll_seconds)
 
     # ----------------------------------------------------- event handling
 
@@ -294,9 +302,10 @@ class CampaignService:
         if event.kind == "ok":
             if event.key is None or self._settled(event.key):
                 return  # duplicate result from a stolen-but-alive lease
-            self._settle_record(
-                event.key, RunRecord.from_dict(event.payload),
-                worker=event.worker)
+            record = RunRecord.from_dict(event.payload)
+            record.spawn_overhead_seconds = max(
+                0.0, event.held_seconds - record.wall_seconds)
+            self._settle_record(event.key, record, worker=event.worker)
         elif event.kind == "error":
             if event.key is None or self._settled(event.key):
                 return
@@ -308,7 +317,7 @@ class CampaignService:
                 self._settle_failure(event.key, RunFailure(
                     spec=self._specs[event.key], kind="error",
                     error=str(event.payload), attempts=attempt,
-                    worker=event.worker,
+                    wall_seconds=event.held_seconds, worker=event.worker,
                     flight=_load_flight_dump(self._flight_path(event.key)),
                     flight_path=self._flight_path(event.key) or ""))
         elif event.kind == "died":
@@ -316,6 +325,7 @@ class CampaignService:
                 self._worker_killed(
                     event.key, event.worker,
                     self._attempts.get(event.key, 1),
+                    "crash", event.held_seconds,
                     f"worker died (exit code {event.payload}) while "
                     f"holding the lease", now)
         elif event.kind == "heartbeat":
@@ -327,20 +337,23 @@ class CampaignService:
                     float(event.payload))
 
     def _worker_killed(self, key: str, worker: str, attempt: int,
-                       reason: str, now: float) -> None:
-        """A crash or stolen lease: requeue, or quarantine poison."""
+                       kind: str, wall: float, reason: str,
+                       now: float) -> None:
+        """A crash or a stolen lease (``kind`` ``"crash"`` or
+        ``"timeout"``): requeue, or quarantine once the spec has used up
+        its kill budget."""
         kills = self._kills.get(key, 0) + 1
         self._kills[key] = kills
         if kills >= self.poison_threshold:
             self._settle_failure(key, RunFailure(
-                spec=self._specs[key], kind="poison",
-                error=(f"quarantined: spec killed {kills} worker(s); "
+                spec=self._specs[key], kind=kind,
+                error=(f"quarantined after {kills} kill(s); "
                        f"last: {reason}"),
-                attempts=attempt, worker=worker,
+                attempts=attempt, wall_seconds=wall, worker=worker,
                 flight=_load_flight_dump(self._flight_path(key)),
                 flight_path=self._flight_path(key) or ""))
         else:
-            self._requeue(key, attempt + 1, now, reason="crash")
+            self._requeue(key, attempt + 1, now, reason=kind)
 
     def _requeue(self, key: str, attempt: int, now: float,
                  reason: str) -> None:
@@ -408,9 +421,7 @@ class CampaignService:
                     self._specs[key].name, item.attempt, slot.name)
 
     def _flight_path(self, key: str) -> Optional[str]:
-        if self.flight_dir is None:
-            return None
-        return os.path.join(self.flight_dir, f"{key[:16]}.flight.json")
+        return flight_dump_path(self.flight_dir, key)
 
     # ---------------------------------------------------------- reporting
 

@@ -1,13 +1,13 @@
 """Long-lived batched workers with heartbeat liveness and supervision.
 
-One ``repro campaign run`` pays a full process spawn per spec — the
-BENCH_campaign.json 0.98x "speedup".  The service instead keeps a fixed
-pool of **long-lived workers**, each a looping process that receives
-spec dicts over its pipe, runs them through the same
-:func:`~repro.experiments.campaign.execute_spec` entry point the
+A fixed pool of **long-lived workers**, each a looping process that
+receives spec dicts over its pipe, runs them through the same
+:func:`~repro.experiments.campaign.execute_spec` entry point the serial
 campaign uses, and reports results — so the spawn tax is paid once per
 worker, not once per spec, and determinism is untouched
-(``execute_spec`` re-seeds from the spec before every build).
+(``execute_spec`` re-seeds from the spec before every build).  Both
+``repro serve`` and every ``repro campaign run`` that needs process
+isolation run on this pool.
 
 Liveness is layered:
 
@@ -33,10 +33,12 @@ failure record instead of a dead worker.
 
 from __future__ import annotations
 
+import os
 import threading
 import time as _time
 from dataclasses import dataclass
 from multiprocessing import current_process, get_context
+from multiprocessing.connection import wait as wait_ready
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.campaign import (
@@ -86,11 +88,22 @@ def _pool_worker(conn: Any, heartbeat_seconds: float,
             if not _send(("heartbeat", key, elapsed)):
                 return
 
+    parent_pid = os.getppid()
+
+    def _orphaned() -> bool:
+        # Workers forked later inherit copies of this pipe's parent end,
+        # so a killed parent does not reliably show up as EOF here.
+        return os.getppid() != parent_pid
+
     threading.Thread(target=_beat, daemon=True).start()
     _send(("ready", current_process().name))
     try:
         while True:
             try:
+                if not conn.poll(heartbeat_seconds):
+                    if _orphaned():
+                        break  # parent died; exit rather than orphan
+                    continue
                 message = conn.recv()
             except (EOFError, OSError):
                 break  # parent died; exit rather than orphan
@@ -108,7 +121,7 @@ def _pool_worker(conn: Any, heartbeat_seconds: float,
                 reply = ("error", key, f"{type(exc).__name__}: {exc}")
             with state_lock:
                 current["key"] = None
-            if not _send(reply):
+            if _orphaned() or not _send(reply):
                 break
     finally:
         stopping.set()
@@ -123,6 +136,9 @@ class WorkerEvent:
     worker: str
     key: Optional[str] = None
     payload: Any = None
+    #: Parent-observed seconds since ``key`` was leased ("ok", "error"
+    #: and "died" events that carry a lease; 0.0 otherwise).
+    held_seconds: float = 0.0
 
 
 class WorkerSlot:
@@ -307,11 +323,14 @@ class WorkerPool:
                         payload=message[2]))
                 elif kind in ("ok", "error"):
                     key = message[1]
+                    held = 0.0
                     if key == slot.busy_key:
                         slot.busy_key = None
                         slot.flight_path = None
+                        held = now - slot.leased_at
                     events.append(WorkerEvent(
-                        kind, slot.name, key=key, payload=message[2]))
+                        kind, slot.name, key=key, payload=message[2],
+                        held_seconds=held))
             if broken or (slot.proc is not None and not slot.proc.is_alive()):
                 orphan = slot.busy_key
                 exitcode = slot.proc.exitcode if slot.proc else None
@@ -319,9 +338,25 @@ class WorkerPool:
                     # Bounded reap of an already-dead child (<= 1 s, rare).
                     slot.proc.join(timeout=1.0)  # repro: noqa[RC402]
                 events.append(WorkerEvent(
-                    "died", slot.name, key=orphan, payload=exitcode))
+                    "died", slot.name, key=orphan, payload=exitcode,
+                    held_seconds=(now - slot.leased_at
+                                  if orphan is not None else 0.0)))
                 self._schedule_restart(slot, now)
         return events
+
+    def wait_for_events(self, timeout: float) -> None:
+        """Block until a worker pipe has data or a worker exits, at most
+        ``timeout`` seconds (a batch caller's sleep between pumps)."""
+        waitables = []
+        for slot in self.slots:
+            if slot.conn is not None:
+                waitables.append(slot.conn)
+            if slot.proc is not None:
+                waitables.append(slot.proc.sentinel)
+        if waitables:
+            wait_ready(waitables, timeout)
+        else:
+            _time.sleep(timeout)
 
     # ----------------------------------------------------------- liveness
 

@@ -1,14 +1,14 @@
-"""Live campaign telemetry over the torn-write-tolerant checkpoint channel.
+"""Live campaign telemetry over the torn-write-tolerant work journal.
 
 A long campaign is a black box from the shell: workers grind away, the
-report appears minutes later.  This module streams *liveness* over the
-same JSONL file the campaign already checkpoints to — each line is
-``{"type": "telemetry", "event": ..., ...}``, which the record loader
-(:meth:`~repro.experiments.campaign._Checkpoint.load_records`) already
+report appears minutes later.  This module streams *liveness* into the
+same JSONL work journal the campaign (``repro campaign run --checkpoint``)
+or the service (``repro serve --journal``) already writes — each line is
+``{"type": "telemetry", "event": ..., ...}``, which the journal's work
+fold (:meth:`~repro.experiments.service.journal.WorkJournal.load`)
 skips, so resume semantics are untouched and a reader can tail one file
-for both progress and finished results.  ``repro campaign watch`` renders
-the stream; the upcoming queue-backed campaign service will sit on the
-same substrate.
+for both progress and finished results.  ``repro campaign watch``
+renders the stream.
 
 Events: ``campaign-start`` / ``campaign-end``, per-spec ``start`` /
 ``finish`` (status ``ok`` | ``error`` | ``crash`` | ``timeout``) /
@@ -34,11 +34,11 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 
 class TelemetryWriter:
-    """Single-writer telemetry appender for the checkpoint channel.
+    """Single-writer telemetry appender for the work-journal channel.
 
     Owned by the campaign *parent* process (workers report through their
-    result pipes), preserving the checkpoint file's single-writer
-    invariant.  Heartbeats are rate-limited to one per worker per
+    result pipes), preserving the journal's single-writer invariant.
+    Heartbeats are rate-limited to one per worker per
     ``heartbeat_seconds``.
     """
 
@@ -105,10 +105,10 @@ class TelemetryWriter:
 # ------------------------------------------------------------------ reader
 
 def read_channel(path: PathLike) -> List[Dict[str, Any]]:
-    """Every parseable line of a checkpoint/telemetry file, in order.
+    """Every parseable line of a journal/telemetry file, in order.
 
     Torn trailing writes (a crashed writer) are skipped, exactly like the
-    campaign's own record loader.
+    journal's own fold.
     """
     if not os.path.exists(path):
         return []
@@ -147,14 +147,14 @@ class CampaignProgress:
 
 
 def _fold_work_entry(progress: CampaignProgress, entry: Dict[str, Any],
-                     queued: set, settled: set,
+                     queued: set, settled: Dict[str, str],
                      labels: Dict[str, str]) -> None:
-    """Fold one campaign-service work-journal line (``type: "work"``).
+    """Fold one work-journal line (``type: "work"``).
 
-    Mirrors the journal's own idempotence rules (first ``queued`` /
-    first terminal state per key wins) so ``repro campaign watch`` can
-    point straight at a ``repro serve`` journal, with or without
-    telemetry interleaved.
+    Mirrors the journal's own rules (first ``queued`` per key wins; the
+    first ``done`` is final, and it overrides an earlier ``failed``, as a
+    resumed campaign re-runs its failures) so ``repro campaign watch``
+    reads any journal, with or without telemetry interleaved.
     """
     state = entry.get("state")
     key = entry.get("key")
@@ -172,12 +172,14 @@ def _fold_work_entry(progress: CampaignProgress, entry: Dict[str, Any],
         progress.spec_status.setdefault(label, "queued")
     elif state == "leased":
         progress.spec_status[labels.get(key, key[:12])] = "running"
-    elif state == "done" and key not in settled:
-        settled.add(key)
+    elif state == "done" and settled.get(key) != "done":
+        if settled.get(key) == "failed":
+            progress.failed -= 1
+        settled[key] = "done"
         progress.completed += 1
         progress.spec_status[labels.get(key, key[:12])] = "ok"
     elif state == "failed" and key not in settled:
-        settled.add(key)
+        settled[key] = "failed"
         progress.failed += 1
         failure = entry.get("failure")
         status = (failure.get("kind", "error")
@@ -189,16 +191,10 @@ def campaign_progress(entries: List[Dict[str, Any]]) -> CampaignProgress:
     """Fold a channel's entries into a :class:`CampaignProgress`."""
     progress = CampaignProgress()
     queued_work: set = set()
-    settled_work: set = set()
+    settled_work: Dict[str, str] = {}
     work_labels: Dict[str, str] = {}
     for entry in entries:
         kind = entry.get("type")
-        if kind == "record":
-            progress.completed += 1
-            continue
-        if kind == "failure":
-            progress.failed += 1
-            continue
         if kind == "work":
             _fold_work_entry(progress, entry, queued_work, settled_work,
                              work_labels)
@@ -236,7 +232,7 @@ def campaign_progress(entries: List[Dict[str, Any]]) -> CampaignProgress:
 
 
 def load_progress(path: PathLike) -> CampaignProgress:
-    """Read and fold a checkpoint/telemetry file in one call."""
+    """Read and fold a journal/telemetry file in one call."""
     return campaign_progress(read_channel(path))
 
 

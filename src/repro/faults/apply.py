@@ -59,7 +59,7 @@ def apply_fault_plan(
         elif layer == "store":
             # Store faults attack the parent's durable writes, not the
             # simulation: compiled by repro.faults.store and honoured by
-            # the journal/checkpoint writers, never installed on a sim.
+            # the work-journal writer, never installed on a sim.
             applied.store_specs.append(spec)
         else:
             node_specs.setdefault(spec.target or "", []).append(spec)
@@ -67,8 +67,9 @@ def apply_fault_plan(
     if wire_specs:
         old = sim.wire
         if isinstance(old, FaultInjectingWire):
-            # A scenario already installed a fault wire (e.g. the NoisyWire
-            # shim): extend it rather than discarding its injectors.
+            # A scenario already installed a fault wire (e.g. a
+            # flip_fault noise channel): extend it rather than discarding
+            # its injectors.
             old.injectors.extend(
                 compile_wire_fault(spec) for spec in wire_specs)
             if old._emit is None:

@@ -213,7 +213,7 @@ def flip_fault(
     dominant_flips_only: bool = False,
     name: str = "noise",
 ) -> FaultSpec:
-    """A run-long ``wire.flip`` spec (the :class:`NoisyWire` replacement).
+    """A run-long ``wire.flip`` spec: sporadic channel noise (Sec. IV-E).
 
     Pass the result to :class:`~repro.faults.wire.FaultInjectingWire` or a
     :class:`FaultPlan`; injected flip times are on the compiled injector's
@@ -229,9 +229,8 @@ def flip_fault(
 def burst_fault(
     start_bit: int, length_bits: int, level: int, name: Optional[str] = None
 ) -> FaultSpec:
-    """A windowed ``wire.burst`` spec (the :class:`BurstNoiseWire`
-    replacement): the bus is forced to ``level`` for ``length_bits`` bits
-    starting at ``start_bit``."""
+    """A windowed ``wire.burst`` spec, an EMI event: the bus is forced to
+    ``level`` for ``length_bits`` bits starting at ``start_bit``."""
     return FaultSpec(
         name=name if name is not None else f"burst_{start_bit}",
         kind="wire.burst",

@@ -1,6 +1,7 @@
 """Interprocedural rules RC201–RC205 and their CLI wiring."""
 
 import json
+import os
 
 import pytest
 
@@ -551,3 +552,32 @@ class TestPurityManifestCli:
         manifest = PurityManifest.load(out)
         assert manifest is not None
         assert sorted(manifest.scenarios) == scenario_names()
+
+
+class TestEntryTables:
+    def test_every_entry_resolves_to_a_function_in_the_package(self):
+        """A table entry that matches nothing silently drops the rule's
+        coverage of it (``find_functions`` returns an empty list)."""
+        import repro
+        from repro.analysis.callgraph import load_project
+        from repro.analysis.lint.deep import (
+            ENTRY_SPECS,
+            FAULT_BOUNDARY_SPECS,
+            WORKER_ENTRY_SPECS,
+        )
+
+        root = os.path.dirname(repro.__file__)
+        files = sorted(os.path.join(directory, name)
+                       for directory, _, names in os.walk(root)
+                       for name in names if name.endswith(".py"))
+        project = load_project(files)
+        tables = ((ENTRY_SPECS, False), (FAULT_BOUNDARY_SPECS, True),
+                  (WORKER_ENTRY_SPECS, False))
+        unresolved = [
+            (suffix, name)
+            for table, by_qualname in tables
+            for suffix, names in table
+            for name in names
+            if not project.find_functions(suffix, [name],
+                                          match_qualname=by_qualname)]
+        assert unresolved == []

@@ -9,56 +9,65 @@ every successful frame.
 import pytest
 
 from repro.bus.events import BusOffEntered, FrameTransmitted
-from repro.bus.noise import BurstNoiseWire, NoisyWire
 from repro.bus.simulator import CanBusSimulator
 from repro.can.constants import DOMINANT, RECESSIVE
 from repro.core.defense import MichiCanNode
+from repro.errors import ConfigurationError
+from repro.faults.plan import burst_fault, flip_fault
+from repro.faults.wire import FaultInjectingWire
 from repro.node.controller import CanNode
 from repro.node.scheduler import PeriodicMessage, PeriodicScheduler
 
 
+def flip_wire(flip_probability, seed=0, dominant_flips_only=False):
+    return FaultInjectingWire([flip_fault(
+        flip_probability, seed=seed,
+        dominant_flips_only=dominant_flips_only)])
+
+
 def noisy_sim(flip_probability, seed=1, bus_speed=500_000):
     sim = CanBusSimulator(bus_speed=bus_speed)
-    sim.wire = NoisyWire(flip_probability, seed=seed)
+    sim.wire = flip_wire(flip_probability, seed=seed)
     return sim
 
 
-class TestNoisyWire:
+class TestFlipNoise:
     def test_probability_validated(self):
-        with pytest.raises(ValueError):
-            NoisyWire(flip_probability=1.5)
+        with pytest.raises(ConfigurationError):
+            flip_wire(flip_probability=1.5)
 
     def test_zero_probability_is_clean(self):
-        wire = NoisyWire(0.0)
+        wire = flip_wire(0.0)
         for _ in range(100):
             wire.drive([RECESSIVE])
-        assert wire.flips == []
+        assert wire.injectors[0].flips == []
 
     def test_flips_recorded_deterministically(self):
-        a = NoisyWire(0.1, seed=7)
-        b = NoisyWire(0.1, seed=7)
+        a = flip_wire(0.1, seed=7)
+        b = flip_wire(0.1, seed=7)
         for _ in range(500):
             a.drive([RECESSIVE])
             b.drive([RECESSIVE])
-        assert a.flips == b.flips
-        assert a.flips  # at p=0.1 over 500 bits, flips must occur
+        assert a.injectors[0].flips == b.injectors[0].flips
+        assert a.injectors[0].flips  # at p=0.1 over 500 bits, flips occur
 
     def test_dominant_flips_only(self):
-        wire = NoisyWire(1.0, dominant_flips_only=True)
+        wire = flip_wire(1.0, dominant_flips_only=True)
         assert wire.drive([RECESSIVE]) == DOMINANT
         assert wire.drive([DOMINANT]) == DOMINANT  # never flipped upward
 
 
-class TestBurstNoiseWire:
+class TestBurstNoise:
     def test_burst_forces_level(self):
-        wire = BurstNoiseWire([(5, 3, DOMINANT)])
+        wire = FaultInjectingWire([burst_fault(5, 3, DOMINANT)])
         levels = [wire.drive([RECESSIVE]) for _ in range(10)]
         assert levels[5:8] == [DOMINANT] * 3
         assert levels[:5] == [RECESSIVE] * 5
+        assert levels[8:] == [RECESSIVE] * 2
 
     def test_invalid_burst(self):
-        with pytest.raises(ValueError):
-            BurstNoiseWire([(0, 0, DOMINANT)])
+        with pytest.raises(ConfigurationError):
+            FaultInjectingWire([burst_fault(0, 1, level=7)])
 
 
 class TestSporadicErrorsNoFalseBusOff:
@@ -107,7 +116,7 @@ class TestSporadicErrorsNoFalseBusOff:
         """A bounded EMI burst destroys in-flight traffic; retransmission
         succeeds right after."""
         sim = CanBusSimulator(bus_speed=500_000)
-        sim.wire = BurstNoiseWire([(30, 8, DOMINANT)])
+        sim.wire = FaultInjectingWire([burst_fault(30, 8, DOMINANT)])
         sender = sim.add_node(CanNode("sender"))
         sim.add_node(CanNode("receiver"))
         from repro.can.frame import CanFrame

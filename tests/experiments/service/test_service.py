@@ -1,4 +1,4 @@
-"""CampaignService scheduling: dedupe, retries, poison, drain, resume."""
+"""CampaignService scheduling: dedupe, retries, quarantine, drain, resume."""
 
 import pytest
 
@@ -122,7 +122,7 @@ def test_draining_service_refuses_submissions(tmp_path):
         service.submit_specs([good_spec()])
 
 
-# ------------------------------------------------------ failures + poison
+# -------------------------------------------------- failures + quarantine
 
 def test_raising_spec_is_retried_then_failed(tmp_path):
     service = make_service(tmp_path, max_retries=1)
@@ -154,12 +154,13 @@ def test_worker_killing_spec_is_quarantined_as_poison(tmp_path):
     report = service.report()
     assert [r.spec.seed for r in report.records] == [1]
     (failure,) = report.failures
-    assert failure.kind == "poison"
-    assert "killed 2 worker(s)" in failure.error
+    assert failure.kind == "crash"
+    assert "quarantined after 2 kill(s)" in failure.error
+    assert failure.wall_seconds > 0.0
     # The quarantine is durable: a resumed service does not retry it.
     resumed = make_service(tmp_path, resume=True)
     assert resumed.queue.keys() == []
-    assert [f.kind for f in resumed.report().failures] == ["poison"]
+    assert [f.kind for f in resumed.report().failures] == ["crash"]
 
 
 def test_hung_spec_lease_is_stolen_and_quarantined(tmp_path):
@@ -172,8 +173,9 @@ def test_hung_spec_lease_is_stolen_and_quarantined(tmp_path):
     finally:
         service.close()
     (failure,) = service.report().failures
-    assert failure.kind == "poison"
+    assert failure.kind == "timeout"
     assert "lease" in failure.error
+    assert failure.wall_seconds >= 0.4
 
 
 def test_exhausted_pool_fails_queued_work_instead_of_hanging(tmp_path):

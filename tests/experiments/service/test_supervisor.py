@@ -136,3 +136,39 @@ def test_stop_is_idempotent_and_leaves_no_processes(pool):
     pool.stop()
     pool.stop()
     assert all(not proc.is_alive() for proc in procs)
+
+
+def test_workers_exit_when_their_parent_is_killed():
+    """A SIGKILLed parent runs no cleanup; its idle workers must notice
+    and exit rather than linger as orphans."""
+    import subprocess
+    import sys
+
+    code = (
+        "import time\n"
+        "from repro.experiments.service.supervisor import WorkerPool\n"
+        "pool = WorkerPool(2, heartbeat_seconds=0.1)\n"
+        "pool.start()\n"
+        "while not all(s.ready for s in pool.slots):\n"
+        "    pool.poll(); time.sleep(0.01)\n"
+        "print(' '.join(str(s.proc.pid) for s in pool.slots), flush=True)\n"
+        "time.sleep(60)\n")
+    parent = subprocess.Popen([sys.executable, "-c", code],
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+
+    def alive(pid):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    assert wait_for(lambda: not any(alive(pid) for pid in pids),
+                    timeout=10.0)

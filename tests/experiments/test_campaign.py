@@ -111,6 +111,48 @@ class TestCampaign:
         report = Campaign(small_specs(), n_workers=2).run()
         assert all(record.worker for record in report.records)
 
+    def test_every_front_end_gives_the_same_report(self, tmp_path):
+        """Serial, pooled, pooled-with-timeout and the bare service agree
+        on the Table II specs, including a spec listed twice."""
+        from repro.experiments.service.service import CampaignService
+
+        specs = [ScenarioSpec(f"exp{number}", duration_bits=2_000, seed=7)
+                 for number in range(1, 7)]
+        specs.insert(3, specs[0])
+        serial = Campaign(specs, n_workers=1).run()
+        pooled = Campaign(specs, n_workers=2).run()
+        timed = Campaign(specs, n_workers=2, timeout_seconds=60.0).run()
+        assert len(serial.records) == len(specs) == 7
+        assert serial.payload_equal(pooled)
+        assert serial.payload_equal(timed)
+        assert all(record.spawn_overhead_seconds > 0.0
+                   for record in pooled.records)
+
+        service = CampaignService(str(tmp_path / "journal.jsonl"),
+                                  n_workers=2)
+        service.start()
+        try:
+            service.submit_specs(specs)
+            assert service.run_until_idle(timeout=120)
+        finally:
+            service.close()
+        bare = service.report()
+        unique = CampaignReport(records=[serial.records[i] for i in
+                                         (0, 1, 2, 4, 5, 6)],
+                                n_workers=1, wall_seconds=0.0)
+        assert bare.payload_equal(unique)
+
+    def test_importing_the_campaign_leaves_the_service_unloaded(self):
+        import subprocess
+        import sys
+
+        code = ("import sys, repro.experiments.campaign; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('repro.experiments.service')))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
 
 class TestCampaignReport:
     def test_round_trip(self):
@@ -155,9 +197,10 @@ class TestCampaignReport:
         assert "worker utilization" in text
         if report.parallel_speedup() < 1.1:
             # Short windows: the warning must name the culprit numbers
-            # and point at the batched service.
+            # and the remedies that do not need another front end.
             assert "mean spawn overhead" in text
-            assert "repro serve" in text
+            assert "n_workers=1" in text
+            assert "repro serve" not in text
 
 
 class TestCampaignMetrics:

@@ -1,4 +1,4 @@
-"""Campaign-engine robustness: crashes, hangs, retries, checkpoints."""
+"""Campaign-engine robustness: crashes, hangs, retries, journal resume."""
 
 import json
 
@@ -10,7 +10,11 @@ from repro.experiments.campaign import (
     CampaignReport,
     RunFailure,
     ScenarioSpec,
-    spec_key,
+    spec_digest,
+)
+from repro.experiments.service.journal import (
+    JOURNAL_SCHEMA_VERSION,
+    WorkJournal,
 )
 from repro.experiments.store import merge_reports
 from repro.faults.plan import FaultPlan, FaultSpec, FaultWindow
@@ -74,24 +78,29 @@ def test_hanging_worker_times_out_and_is_killed():
     assert failure.wall_seconds >= 0.5
 
 
-# ---------------------------------------------------- checkpoints + resume
+# ------------------------------------------- checkpoint journal + resume
+
+def journal_lines(path):
+    return [json.loads(line) for line in open(path, encoding="utf-8")]
+
 
 def test_checkpoint_resume_runs_only_the_missing_specs(tmp_path):
     checkpoint = str(tmp_path / "campaign.jsonl")
     first = [good_spec(seed=1), good_spec(seed=2)]
     Campaign(first, checkpoint=checkpoint).run()
-    lines = [json.loads(line)
-             for line in open(checkpoint, encoding="utf-8")]
-    assert [line["type"] for line in lines] == ["record", "record"]
+    lines = journal_lines(checkpoint)
+    assert {line["type"] for line in lines} == {"work"}
+    assert [line["state"] for line in lines] == [
+        "queued", "queued", "leased", "done", "leased", "done"]
 
     specs = first + [good_spec(seed=3)]
     report = Campaign(specs, checkpoint=checkpoint).run(resume=True)
     assert [record.spec.seed for record in report.records] == [1, 2, 3]
-    lines = [json.loads(line)
-             for line in open(checkpoint, encoding="utf-8")]
-    assert len(lines) == 3, "resume appends only the spec it actually ran"
-    keys = {line["key"] for line in lines}
-    assert keys == {spec_key(spec) for spec in specs}
+    lines = journal_lines(checkpoint)
+    done = [line["key"] for line in lines if line["state"] == "done"]
+    assert len(done) == 3, "resume runs only the spec it was missing"
+    assert set(done) == {spec_digest(spec) for spec in specs}
+    assert WorkJournal(checkpoint).load().pending() == []
 
 
 def test_checkpointed_failures_are_retried_on_resume(tmp_path):
@@ -100,12 +109,17 @@ def test_checkpointed_failures_are_retried_on_resume(tmp_path):
     report = Campaign(specs, checkpoint=checkpoint,
                       retry_backoff_seconds=0.0).run()
     assert len(report.failures) == 1
+    state = WorkJournal(checkpoint).load()
+    assert list(state.failures) == [spec_digest(specs[0])]
 
     # Resume with the same (still broken) plan: the failure re-runs.
     report = Campaign(specs, checkpoint=checkpoint,
                       retry_backoff_seconds=0.0).run(resume=True)
     assert len(report.records) == 1
     assert len(report.failures) == 1
+    failed = [line for line in journal_lines(checkpoint)
+              if line["state"] == "failed"]
+    assert len(failed) == 2
 
 
 def test_resume_without_a_checkpoint_is_rejected():
@@ -118,18 +132,19 @@ def test_torn_checkpoint_lines_are_skipped(tmp_path):
     spec = good_spec(seed=1)
     Campaign([spec], checkpoint=str(checkpoint)).run()
     with open(checkpoint, "a", encoding="utf-8") as handle:
-        handle.write('{"type": "record", "key": "tru')  # torn write
+        handle.write('{"type": "work", "state": "done", "key": "tru')
+    before = checkpoint.read_text(encoding="utf-8")
     report = Campaign([spec], checkpoint=str(checkpoint)).run(resume=True)
     assert len(report.records) == 1
+    assert checkpoint.read_text(encoding="utf-8") == before, \
+        "the resumed run replayed the spec; it appended nothing"
 
 
 def test_newer_schema_checkpoint_is_a_clean_error(tmp_path):
-    from repro.experiments.campaign import SCHEMA_VERSION
-
     checkpoint = tmp_path / "campaign.jsonl"
     spec = good_spec(seed=1)
-    entry = {"type": "record", "key": spec_key(spec),
-             "schema_version": SCHEMA_VERSION + 1, "record": {}}
+    entry = {"type": "work", "state": "done", "key": spec_digest(spec),
+             "schema_version": JOURNAL_SCHEMA_VERSION + 1, "record": {}}
     checkpoint.write_text(json.dumps(entry) + "\n", encoding="utf-8")
     with pytest.raises(ConfigurationError, match="newer format"):
         Campaign([spec], checkpoint=str(checkpoint)).run(resume=True)
@@ -150,6 +165,7 @@ def test_legacy_unstamped_checkpoint_lines_still_load(tmp_path):
     report = Campaign([spec], checkpoint=str(checkpoint)).run(resume=True)
     assert len(report.records) == 1
     assert report.records[0].spec == spec
+    assert len(journal_lines(checkpoint)) == len(lines), "nothing re-ran"
 
 
 # -------------------------------------------------------- report plumbing

@@ -1,11 +1,12 @@
-"""Live campaign telemetry over the checkpoint channel."""
+"""Live campaign telemetry over the work-journal channel."""
 
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import Campaign, ScenarioSpec, _Checkpoint
+from repro.experiments.campaign import Campaign, ScenarioSpec
+from repro.experiments.service.journal import WorkJournal
 from repro.experiments.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     TelemetryWriter,
@@ -61,8 +62,13 @@ class TestWriter:
             self, tmp_path):
         path = tmp_path / "chan.jsonl"
         TelemetryWriter(path).campaign_started(1, 1, 1)
-        checkpoint = _Checkpoint(str(path))
-        assert checkpoint.load_records() == {}
+        state = WorkJournal(str(path)).load()
+        assert state.order == [] and state.records == {}
+        assert state.skipped_lines == 0
+
+
+def work(state, key, **fields):
+    return {"type": "work", "state": state, "key": key, **fields}
 
 
 class TestReader:
@@ -83,12 +89,14 @@ class TestReader:
              "spec": "a", "worker": "w1"},
             {"type": "telemetry", "event": "heartbeat", "at": 3.0,
              "worker": "w1", "spec": "a", "elapsed_seconds": 1.0},
-            {"type": "record"},
+            work("queued", "ka", spec={"label": "a"}),
+            work("done", "ka"),
             {"type": "telemetry", "event": "finish", "at": 4.0,
              "spec": "a", "worker": "w1", "status": "ok"},
             {"type": "telemetry", "event": "retry", "at": 5.0,
              "spec": "b", "attempt": 1},
-            {"type": "failure"},
+            work("queued", "kc", spec={"label": "c"}),
+            work("failed", "kc", failure={"kind": "timeout"}),
         ]
         progress = campaign_progress(entries)
         assert progress.total_specs == 3
@@ -96,10 +104,23 @@ class TestReader:
         assert progress.completed == 1
         assert progress.failed == 1
         assert progress.retries == 1
-        assert progress.spec_status == {"a": "ok", "b": "retrying"}
+        assert progress.spec_status == {"a": "ok", "b": "retrying",
+                                        "c": "timeout"}
         assert progress.workers == {}  # finish cleared w1
         assert progress.last_update == 5.0
         assert not progress.finished
+
+    def test_a_done_after_a_failure_counts_as_completed(self):
+        """A resumed campaign re-runs its failures into the same journal:
+        the later ``done`` wins, as in the journal's own fold."""
+        progress = campaign_progress([
+            work("queued", "k", spec={"label": "a"}),
+            work("failed", "k", failure={"kind": "error"}),
+            work("done", "k"),
+            work("failed", "k", failure={"kind": "error"}),
+        ])
+        assert (progress.completed, progress.failed) == (1, 0)
+        assert progress.spec_status == {"a": "ok"}
 
     def test_render_progress(self):
         progress = campaign_progress([
@@ -107,7 +128,7 @@ class TestReader:
              "total_specs": 2, "n_workers": 1},
             {"type": "telemetry", "event": "start", "at": 2.0,
              "spec": "a", "worker": "w1"},
-            {"type": "record"},
+            work("done", "ka"),
         ])
         text = render_progress(progress)
         assert "1/2 specs" in text
@@ -161,5 +182,5 @@ class TestCampaignIntegration:
     def test_default_campaign_writes_no_telemetry(self, tmp_path):
         path = tmp_path / "chan.jsonl"
         Campaign([good_spec()], checkpoint=str(path)).run()
-        kinds = [e.get("type") for e in read_channel(path)]
-        assert kinds == ["record"]
+        kinds = {e.get("type") for e in read_channel(path)}
+        assert kinds == {"work"}

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.bus.events import FaultActivated
-from repro.bus.noise import NoisyWire
 from repro.bus.simulator import CanBusSimulator
 from repro.can.constants import RECESSIVE
 from repro.can.frame import CanFrame
 from repro.errors import ConfigurationError
 from repro.faults.apply import apply_fault_plan
-from repro.faults.plan import FaultPlan, FaultSpec, FaultWindow
+from repro.faults.plan import FaultPlan, FaultSpec, FaultWindow, flip_fault
 from repro.faults.wire import FaultInjectingWire
 from repro.node.controller import CanNode
 from repro.obs import BusProbe
@@ -44,15 +43,14 @@ def test_apply_installs_injectors_on_every_layer():
 def test_apply_extends_an_existing_fault_wire():
     sim = CanBusSimulator()
     sim.add_nodes(CanNode("a"), CanNode("b"))
-    with pytest.warns(DeprecationWarning):
-        sim.wire = NoisyWire(flip_probability=0.01, seed=3)
-    shim_injector = sim.wire.injectors[0]
+    sim.wire = FaultInjectingWire([flip_fault(0.01, seed=3)])
+    noise_injector = sim.wire.injectors[0]
     applied = apply_fault_plan(sim, FaultPlan((
         FaultSpec(name="g", kind="wire.glitch", window=FaultWindow(0, 10),
                   params={"period": 5, "length": 1}),
     )))
     assert applied.wire is sim.wire
-    assert sim.wire.injectors[0] is shim_injector
+    assert sim.wire.injectors[0] is noise_injector
     assert len(sim.wire.injectors) == 2
 
 

@@ -125,7 +125,7 @@ def test_campaign_checkpoint_degrades_gracefully_under_write_failure(
     checkpoint = str(tmp_path / "campaign.jsonl")
     spec = ScenarioSpec("exp4", seed=1, duration_bits=1_000)
     fault = compile_store_fault(store_spec(max_failures=1))
-    with pytest.warns(RuntimeWarning, match="checkpoint"):
+    with pytest.warns(RuntimeWarning, match="work journal"):
         report = Campaign([spec], checkpoint=checkpoint,
                           store_fault=fault).run()
     # The run completed and reported everything...
@@ -141,3 +141,6 @@ def test_unfaulted_campaign_checkpoint_counts_no_write_failures(tmp_path):
     Campaign([spec], checkpoint=checkpoint).run()
     resumed = Campaign([spec], checkpoint=checkpoint).run(resume=True)
     assert len(resumed.records) == 1
+    done = [line for line in open(checkpoint, encoding="utf-8")
+            if '"state": "done"' in line]
+    assert len(done) == 1, "the resumed spec replayed from the journal"

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bus.events import FaultActivated, FaultDeactivated
-from repro.bus.noise import BurstNoiseWire, NoisyWire
 from repro.can.constants import DOMINANT, RECESSIVE
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultSpec, FaultWindow
@@ -166,30 +165,3 @@ def test_bounded_history_keeps_exact_totals_under_injection():
     assert wire.total_bits == 200
     assert len(wire.history) == 32
     assert wire.dropped_bits == 168
-
-
-# ------------------------------------------------------- deprecated shims
-
-def test_noisy_wire_is_a_deprecated_flip_shim():
-    with pytest.warns(DeprecationWarning):
-        wire = NoisyWire(flip_probability=0.2, seed=5)
-    assert isinstance(wire, FaultInjectingWire)
-    assert wire.flip_probability == 0.2
-    for _ in range(200):
-        wire.drive([RECESSIVE])
-    assert wire.flips == wire.injectors[0].flips
-    assert wire.flips
-    assert_counters_consistent(wire)
-
-
-def test_noisy_wire_still_raises_value_error_on_bad_probability():
-    with pytest.raises(ValueError):
-        NoisyWire(flip_probability=2.0)
-
-
-def test_burst_noise_wire_is_a_deprecated_burst_shim():
-    with pytest.warns(DeprecationWarning):
-        wire = BurstNoiseWire(bursts=[(5, 3, DOMINANT)])
-    levels = [wire.drive([RECESSIVE]) for _ in range(10)]
-    assert levels == [RECESSIVE] * 5 + [DOMINANT] * 3 + [RECESSIVE] * 2
-    assert_counters_consistent(wire)

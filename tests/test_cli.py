@@ -317,3 +317,21 @@ class TestCliChaos:
         assert main(argv + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "campaign: 2 runs" in out
+        # The checkpoint is a work journal; the resume re-ran nothing.
+        import json
+
+        lines = [json.loads(line) for line in open(checkpoint)]
+        assert {line["type"] for line in lines} == {"work"}
+        assert [line["state"] for line in lines].count("done") == 2
+
+    def test_campaign_watch_renders_a_checkpoint_journal(self, capsys,
+                                                         tmp_path):
+        checkpoint = str(tmp_path / "campaign.jsonl")
+        assert main(["campaign", "run", "--scenario", "exp4", "--seeds",
+                     "1,2", "--duration", "2000", "--workers", "2",
+                     "--telemetry", "--checkpoint", checkpoint]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "watch", checkpoint]) == 0
+        out = capsys.readouterr().out
+        assert "2/2 specs (2 ok, 0 failed" in out
+        assert "campaign finished" in out
