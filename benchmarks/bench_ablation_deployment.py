@@ -49,7 +49,7 @@ def test_planner_extremes_verified_on_the_bus(benchmark):
         gap_attacker.send(CanFrame(0x200, bytes(8)))
         covered_attacker = sim.add_node(CanNode("covered_attacker"))
         covered_attacker.send(CanFrame(0x050, bytes(8)))
-        sim.run(8_000)
+        sim.advance(8_000)
         busoffs = {e.node for e in sim.events_of(BusOffEntered)}
         return plan, "gap_attacker" in busoffs, "covered_attacker" in busoffs
 

@@ -25,7 +25,7 @@ def run_mode(prevention_enabled):
     victim = sim.add_node(CanNode("victim", scheduler=PeriodicScheduler(
         [PeriodicMessage(0x300, period_bits=1_500)])))
     attacker = sim.add_node(TraditionalDosAttacker("attacker"))
-    sim.run(30_000)
+    sim.advance(30_000)
     delivered = len([e for e in sim.events_of(FrameTransmitted)
                      if e.node == "victim"])
     return {

@@ -29,7 +29,7 @@ def fight_with_defenders(defender_ids, scenario=Scenario.FULL, limit=8_000):
     ]
     attacker = sim.add_node(CanNode("attacker"))
     attacker.send(CanFrame(0x064, bytes(8)))
-    hit = sim.run_until(lambda s: attacker.is_bus_off, limit)
+    hit = sim.advance_until(lambda s: attacker.is_bus_off, limit, policy="off")
     return hit, defenders
 
 

@@ -31,7 +31,7 @@ def fight(trigger_position=None, attack_duration=None, attack_id=0x055,
     ))
     attacker = sim.add_node(CanNode("attacker"))
     attacker.send(CanFrame(attack_id, bytes(dlc)))
-    hit = sim.run_until(lambda s: attacker.is_bus_off, limit)
+    hit = sim.advance_until(lambda s: attacker.is_bus_off, limit, policy="off")
     return hit is not None, hit, attacker.tec
 
 

@@ -22,6 +22,7 @@ from repro.analysis.busload import (
     deadline_relative_overhead,
     parrot_flooding_overhead,
 )
+from repro.experiments.config import RunConfig
 from repro.experiments.scenarios import experiment_4, parrot_defense_setup
 from repro.trace.recorder import LogicTrace
 from repro.workloads.matrix import theoretical_bus_load
@@ -44,7 +45,7 @@ def test_busload_counterattack_spike(benchmark):
     """Measure the spike on an actual Exp. 4 fight."""
     def run():
         setup = experiment_4()
-        result = setup.run(40_000)
+        result = setup.run(config=RunConfig(duration_bits=40_000))
         episode = result.episodes["attacker"][0]
         trace = LogicTrace(setup.sim.wire.history)
         busy_during = trace.busy_fraction(start=episode.start,
@@ -75,7 +76,7 @@ def test_busload_michican_vs_parrot(benchmark):
     def run():
         # Parrot, measured while armed.
         setup = parrot_defense_setup()
-        setup.sim.run(60_000)
+        setup.sim.advance(60_000)
         parrot_busy = LogicTrace(setup.sim.wire.history).busy_fraction(
             start=2_000)
         # MichiCAN, amortised over a 1-second window with one fight.

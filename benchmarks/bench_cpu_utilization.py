@@ -26,6 +26,7 @@ from repro.analysis.cpu import (
     utilization_from_counters,
 )
 from repro.core.fsm import DetectionFsm
+from repro.experiments.config import RunConfig
 from repro.experiments.scenarios import experiment_3
 
 
@@ -60,7 +61,7 @@ def test_cpu_from_simulated_run(benchmark):
     """Counter-based accounting over the Exp. 3 run (restbus + DoS)."""
     def run():
         setup = experiment_3()
-        setup.run(60_000)
+        setup.run(config=RunConfig(duration_bits=60_000))
         counters = setup.defender.firmware.counters
         states = setup.defender.firmware.fsm.num_states
         return {

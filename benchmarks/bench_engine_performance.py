@@ -24,7 +24,7 @@ def make_busy_bus(nodes=6):
 
 def test_engine_throughput_benign(benchmark):
     sim = make_busy_bus()
-    benchmark.pedantic(lambda: sim.run(20_000), rounds=3, iterations=1)
+    benchmark.pedantic(lambda: sim.advance(20_000), rounds=3, iterations=1)
     assert sim.time >= 60_000  # the engine actually advanced
 
 
@@ -34,7 +34,7 @@ def test_engine_throughput_under_attack(benchmark):
     sim.add_node(CanNode("benign", scheduler=PeriodicScheduler(
         [PeriodicMessage(0x300, period_bits=900)])))
     sim.add_node(DosAttacker("attacker", 0x064))
-    benchmark.pedantic(lambda: sim.run(20_000), rounds=3, iterations=1)
+    benchmark.pedantic(lambda: sim.advance(20_000), rounds=3, iterations=1)
     assert sim.time >= 60_000
 
 

@@ -42,7 +42,7 @@ def run_attack(defended, reset_threshold=96, duration=120_000):
     attacker = sim.add_node(BusOffAttacker(
         "attacker", victim_id=VICTIM_ID, start_bits=3_000,
         tec_reset_threshold=reset_threshold))
-    sim.run(duration)
+    sim.advance(duration)
     busoffs = sim.events_of(BusOffEntered)
     return {
         "victim_busoffs": sum(1 for e in busoffs if e.node == "victim"),

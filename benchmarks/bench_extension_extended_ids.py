@@ -46,7 +46,7 @@ def test_extended_attack_eradicated(benchmark):
             "defender", range(0x100), extended_detection_ids=EXT_RANGE))
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x00123456, bytes(8), extended=True))
-        sim.run_until(lambda s: attacker.is_bus_off, 15_000)
+        sim.advance_until(lambda s: attacker.is_bus_off, 15_000, policy="off")
         boff = sim.events_of(BusOffEntered)[0]
         first = sim.events_of(FrameStarted)[0]
         detection = defender.detections[0]
@@ -73,7 +73,8 @@ def test_dual_mode_cost_on_standard_traffic(benchmark):
         sim.add_node(MichiCanNode("defender", range(0x100), **kwargs))
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x064, bytes(8)))
-        hit = sim.run_until(lambda s: attacker.is_bus_off, 15_000)
+        hit = sim.advance_until(
+            lambda s: attacker.is_bus_off, 15_000, policy="off")
         return hit
 
     classic, dual = benchmark.pedantic(

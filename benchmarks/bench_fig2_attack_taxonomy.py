@@ -35,7 +35,7 @@ def build_bus(attacker=None, defended=False):
             [PeriodicMessage(victim_id, period_bits=PERIOD_BITS)])))
     if attacker is not None:
         sim.add_node(attacker)
-    sim.run(WINDOW)
+    sim.advance(WINDOW)
     expected = WINDOW // PERIOD_BITS
     return {
         victim_id: len([e for e in sim.events_of(FrameTransmitted)

@@ -31,7 +31,7 @@ def test_fig4b_worst_case_timeline(benchmark):
         defender = sim.add_node(MichiCanNode("defender", range(0x100)))
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x0AA, b"\x00"))  # ID with no stuff bits
-        sim.run(80)
+        sim.advance(80)
         return sim
 
     sim = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -26,8 +26,9 @@ def _interleavings(starts):
 def test_fig6_intertwined_pattern(benchmark):
     def run():
         setup = experiment_5()
-        setup.sim.run_until(
-            lambda s: all(a.is_bus_off for a in setup.attackers), 10_000)
+        setup.sim.advance_until(
+            lambda s: all(a.is_bus_off for a in setup.attackers), 10_000,
+            policy="off")
         return setup
 
     setup = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -40,7 +40,7 @@ def test_table1_measured_ids_row(benchmark):
         ids = sim.add_node(FrequencyIds("ids", IdsConfig(
             legitimate_ids=frozenset({0x173}))))
         attacker = sim.add_node(DosAttacker("attacker", 0x064))
-        sim.run(20_000)
+        sim.advance(20_000)
         first_start = sim.events_of(FrameStarted)[0].time
         return ids.first_alert_time(0x064) - first_start, attacker.is_bus_off
 
@@ -60,7 +60,7 @@ def test_table1_measured_michican_row(benchmark):
         sim = CanBusSimulator(bus_speed=50_000)
         defender = sim.add_node(MichiCanNode("defender", range(0x100)))
         attacker = sim.add_node(DosAttacker("attacker", 0x064))
-        sim.run_until(lambda s: attacker.is_bus_off, 10_000)
+        sim.advance_until(lambda s: attacker.is_bus_off, 10_000, policy="off")
         detection = sim.events_of(AttackDetected)[0]
         first_start = sim.events_of(FrameStarted)[0].time
         return detection.time - first_start, attacker.is_bus_off
@@ -80,7 +80,8 @@ def test_table1_measured_parrot_row(benchmark):
     traffic overhead while armed."""
     def run():
         setup = parrot_defense_setup()
-        hit = setup.sim.run_until(lambda s: setup.attacker.is_bus_off, 400_000)
+        hit = setup.sim.advance_until(
+            lambda s: setup.attacker.is_bus_off, 400_000, policy="off")
         busy = LogicTrace(setup.sim.wire.history).busy_fraction(start=2_000)
         return hit, busy, setup.parrot.counter_frames_sent
 
@@ -117,7 +118,7 @@ def test_table1_measured_cansentry_row(benchmark):
                                              limit=5))
         guarded.send(0, CanFrame(0x173, b"\x01"))        # legitimate
         guarded.send(500, CanFrame(0x000, bytes(8)))     # injection attempt
-        sim.run(8_000)
+        sim.advance(8_000)
         from repro.bus.events import FrameTransmitted
         tx = sim.events_of(FrameTransmitted)
         legit = next(e for e in tx if e.frame.can_id == 0x173)

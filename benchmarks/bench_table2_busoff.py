@@ -16,6 +16,7 @@ Regenerate:  pytest benchmarks/bench_table2_busoff.py --benchmark-only -s
 import pytest
 
 from conftest import report
+from repro.experiments.config import RunConfig
 from repro.experiments.scenarios import EXPERIMENTS
 
 PAPER_MEANS_MS = {1: 24.6, 2: 24.2, 3: 25.1, 4: 24.9, 6: 24.9}
@@ -27,7 +28,8 @@ DURATION_BITS = 100_000  # the paper's 2 s recording at 50 kbit/s
 @pytest.mark.parametrize("number", sorted(EXPERIMENTS))
 def test_table2_experiment(benchmark, number):
     result = benchmark.pedantic(
-        lambda: EXPERIMENTS[number]().run(DURATION_BITS),
+        lambda: EXPERIMENTS[number]().run(
+            config=RunConfig(duration_bits=DURATION_BITS)),
         rounds=1, iterations=1,
     )
     rows = []

@@ -23,6 +23,7 @@ from repro.analysis.busoff_theory import (
     undisturbed_busoff_bits,
 )
 from repro.bus.events import FrameStarted
+from repro.experiments.config import RunConfig
 from repro.experiments.scenarios import experiment_4
 
 
@@ -58,7 +59,7 @@ def test_table3_theory_vs_simulation(benchmark):
     theory confirms empirical data (the paper's cross-check)."""
     def run():
         setup = experiment_4()
-        result = setup.run(3_000)
+        result = setup.run(config=RunConfig(duration_bits=3_000))
         episode = result.episodes["attacker"][0]
         starts = [e.time for e in setup.sim.events_of(FrameStarted)
                   if e.node == "attacker"]

@@ -98,12 +98,12 @@ if TYPE_CHECKING:  # imported lazily at runtime: callgraph imports this
 
 #: Entry points of the deterministic hot path, matched by normalized path
 #: suffix + the final segment of the function qualname.  ``step`` is listed
-#: even though ``run`` dispatches to it because ``run``'s fast loop binds
-#: node methods to bare names (statically unresolvable); the fan-out to
-#: node ``output``/``observe`` implementations is only visible via ``step``.
+#: even though ``advance`` reaches per-bit stepping without calling it:
+#: ``_step_bits`` binds node methods to bare names (statically
+#: unresolvable), so the fan-out to node ``output``/``observe``
+#: implementations is only visible via ``step``.
 ENTRY_SPECS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("bus/simulator.py", ("run", "run_until", "step",
-                          "advance", "advance_until")),
+    ("bus/simulator.py", ("step", "advance", "advance_until")),
     ("bus/fastforward.py", ("try_advance", "_notify_span")),
     ("core/detection.py", ("handler",)),
     # Observability listeners ride the engine's event delivery, so their

@@ -9,7 +9,6 @@ and keeps the engine deterministic and replayable.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, TypeVar
 
 from repro.bus.events import Event
@@ -20,8 +19,6 @@ from repro.errors import ConfigurationError, SimulationError
 if TYPE_CHECKING:  # the engine only needs these for typing
     from repro.bus.fastforward import FastForwardEngine, FastForwardStats
     from repro.node.controller import CanNode
-
-_DEPRECATION_WARNED: set = set()
 
 _Listener = TypeVar("_Listener", bound=Callable[..., Any])
 
@@ -38,13 +35,6 @@ def replay_safe(listener: _Listener) -> _Listener:
     """
     listener.replay_safe = True  # type: ignore[attr-defined]
     return listener
-
-
-def _warn_once(key: str, message: str) -> None:
-    if key not in _DEPRECATION_WARNED:
-        # Dedup set for warnings only: never observable in results.
-        _DEPRECATION_WARNED.add(key)  # repro: noqa[RC301]
-        warnings.warn(message, DeprecationWarning, stacklevel=3)
 
 
 class CanBusSimulator:
@@ -186,7 +176,7 @@ class CanBusSimulator:
             self._ff_engine.release_cycles()
 
     def request_stop(self) -> None:
-        """Ask :meth:`run` to stop after the current bit (usable from
+        """Ask :meth:`advance` to stop after the current bit (usable from
         listeners/callbacks)."""
         self._stop_requested = True
 
@@ -336,36 +326,6 @@ class CanBusSimulator:
             if self._stop_requested:
                 return None
         return None
-
-    def run(self, bits: int) -> int:
-        """Deprecated alias for :meth:`advance` (one release grace period).
-
-        .. deprecated:: PR 6
-            Use ``advance(bits)``; ``run`` will be removed next release.
-        """
-        _warn_once(
-            "run",
-            "CanBusSimulator.run() is deprecated; use advance(bits) "
-            "(identical semantics, fast-forward engine included)",
-        )
-        return self.advance(bits)
-
-    def run_until(
-        self, predicate: Callable[["CanBusSimulator"], bool], limit: int
-    ) -> Optional[int]:
-        """Deprecated alias for :meth:`advance_until` with ``policy="off"``.
-
-        .. deprecated:: PR 6
-            Use ``advance_until(predicate, limit)``; ``run_until`` will be
-            removed next release.  The alias pins ``policy="off"`` to keep
-            the historical strictly-per-bit predicate timing.
-        """
-        _warn_once(
-            "run_until",
-            "CanBusSimulator.run_until() is deprecated; use "
-            "advance_until(predicate, limit)",
-        )
-        return self.advance_until(predicate, limit, policy="off")
 
     # ------------------------------------------------------------ conversions
 

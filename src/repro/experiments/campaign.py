@@ -55,7 +55,7 @@ from repro.faults.plan import FaultPlan
 SCHEMA_VERSION = 3
 
 #: A factory takes keyword params and returns an object with
-#: ``run(duration_bits) -> ExperimentResult`` (an ``ExperimentSetup``).
+#: ``run(*, config: RunConfig) -> ExperimentResult`` (an ``ExperimentSetup``).
 ScenarioFactory = Callable[..., Any]
 
 
@@ -179,10 +179,6 @@ class ScenarioSpec:
         from repro.experiments.config import RunConfig
 
         return RunConfig(duration_bits=self.duration_bits, engine=self.engine)
-
-    def run(self) -> ExperimentResult:
-        """Build and run the scenario; convenience for one-off use."""
-        return self.build().run(config=self.run_config())
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -1,24 +1,18 @@
 """One run configuration object for the whole experiment layer.
 
-Before PR 6 every layer of the harness grew its own keyword set:
-``run_and_measure(sim, attackers, duration_bits, name=..., defenders=...,
-log=..., metrics=...)``, ``make_simulator(bus_speed, record, nodes)``,
-``ExperimentSetup.run(duration_bits, metrics)`` — the same knobs under
-different names, impossible to extend without touching every signature.
-
-:class:`RunConfig` collapses them: one frozen dataclass accepted (as the
-keyword-only ``config`` argument) by all three entry points, carrying the
-window length, bus speed, recording options, metrics switch and the engine
-selection for the fast-forward path.  The old keyword arguments keep
-working for one release through a warn-once deprecation shim; passing both
-a config and legacy keywords is an error (the call would be ambiguous).
+:class:`RunConfig` is a frozen dataclass accepted, as the keyword-only
+``config`` argument, by the three entry points :func:`run_and_measure`,
+:func:`make_simulator` and ``ExperimentSetup.run``.  It carries the window
+length, the bus speed, the result name and the engine selection for the
+fast-forward path.  Observers (probes, snapshots, flight recorders) are
+attached to the simulator by the caller, and the wire's recording is a
+:class:`~repro.bus.simulator.CanBusSimulator` argument.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.can.constants import BUS_SPEED_50K
 from repro.errors import ConfigurationError
@@ -29,22 +23,6 @@ DEFAULT_DURATION_BITS = 100_000
 #: Engine selections accepted by :attr:`RunConfig.engine`.
 ENGINES = ("fast", "bit")
 
-_WARNED_SHIMS: set = set()
-
-
-def warn_legacy_kwargs(entry_point: str, kwargs: Any) -> None:
-    """Warn (once per entry point per process) about pre-RunConfig keywords."""
-    if entry_point not in _WARNED_SHIMS:
-        # Dedup set for warnings only: never observable in results.
-        _WARNED_SHIMS.add(entry_point)  # repro: noqa[RC301]
-        warnings.warn(
-            f"{entry_point}({', '.join(sorted(kwargs))}=...) is deprecated; "
-            f"pass config=RunConfig(...) instead (legacy keywords are "
-            f"removed next release)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -53,16 +31,9 @@ class RunConfig:
     Attributes:
         duration_bits: Simulated window length.
         bus_speed: Bus speed in bit/s (time conversions only).
-        record_wire: Keep the full per-bit wire history.
-        wire_history_bits: Bound the history to a ring of the last N bits.
         name: Result name; each entry point falls back to its own default
             (``run_and_measure`` uses "experiment", ``ExperimentSetup.run``
             uses the setup's name) when None.
-        metrics: Attach a :class:`~repro.obs.probe.BusProbe` and embed its
-            summary in the result.  May also be an existing probe instance
-            (the caller then owns its lifetime).
-        log: Escape hatch — a pre-built :class:`~repro.trace.framelog.FrameLog`
-            used instead of deriving one from ``sim.events``.
         engine: "fast" advances through the fast-forward engine
             (:mod:`repro.bus.fastforward`; bit-exact, chunked), "bit" forces
             per-bit stepping.
@@ -70,11 +41,7 @@ class RunConfig:
 
     duration_bits: int = DEFAULT_DURATION_BITS
     bus_speed: int = BUS_SPEED_50K
-    record_wire: bool = True
-    wire_history_bits: Optional[int] = None
     name: Optional[str] = None
-    metrics: Any = False
-    log: Optional[Any] = None
     engine: str = "fast"
 
     def __post_init__(self) -> None:
@@ -95,27 +62,3 @@ class RunConfig:
     def with_overrides(self, **changes: Any) -> "RunConfig":
         """A copy with the given fields replaced (validation re-runs)."""
         return replace(self, **changes)
-
-    def merged_with_legacy(
-        self, entry_point: str, legacy: Dict[str, Any], config_given: bool
-    ) -> "RunConfig":
-        """Fold legacy keyword values into this config (shim helper).
-
-        ``legacy`` maps field names to explicitly-passed legacy values
-        (callers filter out the not-passed sentinels).  Combining an
-        explicit ``config`` with legacy keywords is ambiguous and raises.
-        """
-        present = {k: v for k, v in legacy.items() if v is not _UNSET}
-        if not present:
-            return self
-        if config_given:
-            raise ConfigurationError(
-                f"{entry_point}: pass either config=RunConfig(...) or the "
-                f"legacy keywords {sorted(present)}, not both")
-        warn_legacy_kwargs(entry_point, present)
-        return replace(self, **present)
-
-
-#: Sentinel for "keyword not passed" in the deprecation shims (None is a
-#: meaningful value for several of the legacy keywords).
-_UNSET: Any = object()

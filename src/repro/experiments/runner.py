@@ -13,13 +13,13 @@ ships between worker processes and persists to disk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.bus.simulator import CanBusSimulator
 from repro.core.defense import MichiCanNode
-from repro.experiments.config import _UNSET, RunConfig
+from repro.experiments.config import RunConfig
 from repro.node.controller import CanNode
-from repro.obs.probe import BusProbe, MetricsSummary
+from repro.obs.probe import MetricsSummary
 from repro.trace.framelog import BusOffEpisode, FrameLog
 
 
@@ -131,12 +131,8 @@ class ExperimentResult:
 def run_and_measure(
     sim: CanBusSimulator,
     attackers: Sequence[CanNode],
-    duration_bits: int = _UNSET,
-    name: str = _UNSET,
     defenders: Optional[Sequence[MichiCanNode]] = None,
     *,
-    log: Optional[FrameLog] = _UNSET,
-    metrics: Union[bool, BusProbe] = _UNSET,
     config: Optional[RunConfig] = None,
 ) -> ExperimentResult:
     """Run ``sim`` for the configured window and collect Table II statistics.
@@ -145,44 +141,25 @@ def run_and_measure(
     (sweeps, repeated seeds, fan-out over worker processes) build
     :class:`repro.experiments.campaign.ScenarioSpec` lists and hand them to
     :class:`repro.experiments.campaign.Campaign` instead of looping over
-    this function by hand.
+    this function by hand.  Observers ride ``sim`` itself: attach a
+    :class:`~repro.obs.probe.BusProbe` before the call and store its
+    summary in ``result.metrics`` after it, as
+    :func:`~repro.experiments.campaign.execute_spec` does.
 
     Args:
         config: A :class:`~repro.experiments.config.RunConfig` carrying the
-            window length, result name, metrics switch, optional pre-built
-            :class:`FrameLog` and engine selection ("fast" uses the
-            fast-forward path, "bit" forces per-bit stepping).
-        duration_bits, name, log, metrics: Deprecated pre-RunConfig
-            keywords; still honored (with a once-per-process warning) for
-            one release, but mutually exclusive with ``config``.
+            window length, result name and engine selection ("fast" uses
+            the fast-forward path, "bit" forces per-bit stepping); the
+            defaults when None.
     """
-    base = config if config is not None else RunConfig()
-    cfg = base.merged_with_legacy(
-        "run_and_measure",
-        {"duration_bits": duration_bits, "name": name,
-         "log": log, "metrics": metrics},
-        config_given=config is not None,
-    )
-    probe: Optional[BusProbe] = None
-    own_probe = False
-    if isinstance(cfg.metrics, BusProbe):
-        probe = cfg.metrics
-    elif cfg.metrics:
-        probe = BusProbe(sim)
-        own_probe = True
+    cfg = config if config is not None else RunConfig()
     sim.advance(cfg.duration_bits, policy=cfg.policy())
-    log = cfg.log
-    if log is None:
-        log = FrameLog(sim.events)
+    log = FrameLog(sim.events)
     result = ExperimentResult(
         name=cfg.name if cfg.name is not None else "experiment",
         bus_speed=sim.bus_speed,
         duration_bits=cfg.duration_bits,
     )
-    if probe is not None:
-        result.metrics = probe.summary()
-        if own_probe:
-            probe.close()
     for attacker in attackers:
         result.episodes[attacker.name] = log.busoff_episodes(attacker.name)
         result.attacker_stats[attacker.name] = log.busoff_statistics(
@@ -205,33 +182,17 @@ def run_and_measure(
 
 
 def make_simulator(
-    bus_speed: int = _UNSET,
-    record: bool = _UNSET,
     nodes: Sequence[CanNode] = (),
     *,
     config: Optional[RunConfig] = None,
 ) -> CanBusSimulator:
-    """A simulator at the paper's online-evaluation bus speed (50 kbit/s).
+    """A recording simulator at ``config.bus_speed`` (default: the paper's
+    online-evaluation 50 kbit/s) with ``nodes`` attached in order.
 
-    Args:
-        nodes: Convenience — nodes to attach immediately, in order, so
-            callers stop hand-rolling ``add_node`` loops.
-        config: A :class:`~repro.experiments.config.RunConfig`; its
-            ``bus_speed``, ``record_wire`` and ``wire_history_bits`` fields
-            configure the simulator.
-        bus_speed, record: Deprecated pre-RunConfig keywords (warn-once
-            shim, mutually exclusive with ``config``).
+    Callers that need a bounded or disabled wire history build
+    :class:`~repro.bus.simulator.CanBusSimulator` directly.
     """
-    base = config if config is not None else RunConfig()
-    cfg = base.merged_with_legacy(
-        "make_simulator",
-        {"bus_speed": bus_speed, "record_wire": record},
-        config_given=config is not None,
-    )
-    sim = CanBusSimulator(
-        bus_speed=cfg.bus_speed,
-        record_wire=cfg.record_wire,
-        wire_history_bits=cfg.wire_history_bits,
-    )
+    cfg = config if config is not None else RunConfig()
+    sim = CanBusSimulator(bus_speed=cfg.bus_speed)
     sim.add_nodes(*nodes)
     return sim

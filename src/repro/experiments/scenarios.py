@@ -18,7 +18,7 @@ from repro.bus.simulator import CanBusSimulator
 from repro.can.constants import BUS_SPEED_50K
 from repro.core.defense import MichiCanNode
 from repro.dbc.types import CommunicationMatrix
-from repro.experiments.config import _UNSET, DEFAULT_DURATION_BITS, RunConfig
+from repro.experiments.config import DEFAULT_DURATION_BITS, RunConfig
 from repro.experiments.runner import ExperimentResult, make_simulator, run_and_measure
 from repro.node.controller import CanNode
 from repro.node.scheduler import PeriodicMessage, PeriodicScheduler
@@ -95,14 +95,10 @@ class ExperimentSetup:
     attackers: Tuple[CanNode, ...]
     name: str
 
-    def run(self, duration_bits: int = _UNSET, metrics: bool = _UNSET,
-            *, config: Optional[RunConfig] = None) -> ExperimentResult:
-        base = config if config is not None else RunConfig()
-        cfg = base.merged_with_legacy(
-            "ExperimentSetup.run",
-            {"duration_bits": duration_bits, "metrics": metrics},
-            config_given=config is not None,
-        )
+    def run(self, *, config: Optional[RunConfig] = None) -> ExperimentResult:
+        """Run the setup's bus under ``config`` (named after the setup
+        unless ``config.name`` is set)."""
+        cfg = config if config is not None else RunConfig()
         if cfg.name is None:
             cfg = cfg.with_overrides(name=self.name)
         defenders = [self.defender] if self.defender is not None else []

@@ -94,16 +94,17 @@ class TestLoadModel:
         """The closed form must predict the simulated Exp. 3 mean within
         ~10% (the c-terms of Table III, collapsed to a utilization)."""
         from repro.analysis.busoff_theory import expected_busoff_bits_under_load
+        from repro.experiments.config import RunConfig
         from repro.experiments.scenarios import (
             RESTBUS_TARGET_LOAD,
             experiment_3,
             experiment_4,
         )
 
-        clean = experiment_4().run(40_000)
+        clean = experiment_4().run(config=RunConfig(duration_bits=40_000))
         base_bits = (clean.attacker_stats["attacker"]["mean_ms"]
                      / 1e3 * 50_000)
-        loaded = experiment_3().run(60_000)
+        loaded = experiment_3().run(config=RunConfig(duration_bits=60_000))
         measured = (loaded.attacker_stats["attacker"]["mean_ms"]
                     / 1e3 * 50_000)
         predicted = expected_busoff_bits_under_load(

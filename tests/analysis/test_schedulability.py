@@ -73,7 +73,7 @@ class TestAnalysis:
         sim = CanBusSimulator(bus_speed=500_000)
         for node in nodes_for_matrix(matrix, 500_000, stagger_bits=0):
             sim.add_node(node)
-        sim.run(120_000)
+        sim.advance(120_000)
         completions = [e for e in sim.events_of(FrameTransmitted)]
         assert completions
         for event in completions:

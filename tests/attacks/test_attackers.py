@@ -60,7 +60,7 @@ class TestDosAttackers:
         victim = sim.add_node(CanNode("victim", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x100, period_bits=400)])))
         sim.add_node(TraditionalDosAttacker("attacker"))
-        sim.run(10_000)
+        sim.advance(10_000)
         victim_tx = [e for e in sim.events_of(FrameTransmitted)
                      if e.node == "victim"]
         assert victim_tx == []
@@ -74,7 +74,7 @@ class TestDosAttackers:
         sim.add_node(CanNode("low", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x300, period_bits=600)])))
         sim.add_node(TargetedDosAttacker("attacker", victim_id=0x260))
-        sim.run(12_000)
+        sim.advance(12_000)
         tx = sim.events_of(FrameTransmitted)
         assert any(e.node == "high" for e in tx)
         assert not any(e.node == "low" for e in tx)
@@ -83,7 +83,7 @@ class TestDosAttackers:
         sim = CanBusSimulator()
         attacker = sim.add_node(DosAttacker("attacker", 0x050))
         sim.add_node(CanNode("peer"))
-        sim.run(1_000)
+        sim.advance(1_000)
         assert attacker.frames_injected >= 2
 
 
@@ -96,7 +96,7 @@ class TestSpoofing:
         listener.on_frame_received(lambda t, f: received.append(f))
         sim.add_node(SpoofingAttacker("attacker", target_id=0x173,
                                       period_bits=500))
-        sim.run(2_000)
+        sim.advance(2_000)
         assert received
         assert all(f.can_id == 0x173 and f.data == b"\xFF" * 8 for f in received)
 
@@ -108,7 +108,7 @@ class TestSpoofing:
         )
         sim.add_node(attacker)
         sim.add_node(CanNode("listener"))
-        sim.run(6_000)
+        sim.advance(6_000)
         ids = [e.frame.can_id for e in sim.events_of(FrameTransmitted)]
         assert 0x172 in ids  # suspension phase
         assert 0x173 in ids  # fabrication phase
@@ -127,7 +127,7 @@ class TestSpoofing:
             fabricate_period_bits=500, auto_recover=False,
         )
         sim.add_node(attacker)
-        sim.run(5_000)
+        sim.advance(5_000)
         assert attacker.is_bus_off
         tx_ids = [e.frame.can_id for e in sim.events_of(FrameTransmitted)
                   if e.node == "attacker"]
@@ -148,7 +148,7 @@ class TestMiscellaneous:
             [PeriodicMessage(0x100, period_bits=1_000)])))
         sim.add_node(MiscellaneousAttacker(
             "attacker", can_id=0x7F0, highest_legitimate_id=0x3D5))
-        sim.run(10_000)
+        sim.advance(10_000)
         victim_tx = [e for e in sim.events_of(FrameTransmitted)
                      if e.node == "victim"]
         assert len(victim_tx) >= 9  # high-priority traffic still flows
@@ -159,7 +159,7 @@ class TestToggleAttacker:
         sim = CanBusSimulator(bus_speed=50_000)
         sim.add_node(MichiCanNode("defender", range(0x100)))
         attacker = sim.add_node(ToggleAttacker("attacker", (0x050, 0x051)))
-        sim.run(12_000)
+        sim.advance(12_000)
         assert attacker.bus_off_count >= 2
         started = [e.frame.can_id for e in sim.events_of(FrameStarted)
                    if e.node == "attacker"]
@@ -173,7 +173,7 @@ class TestToggleAttacker:
         sim = CanBusSimulator(bus_speed=50_000)
         sim.add_node(MichiCanNode("defender", range(0x100)))
         attacker = sim.add_node(ToggleAttacker("attacker", (0x050, 0x051)))
-        sim.run(3_000)
+        sim.advance(3_000)
         boffs = sim.events_of(BusOffEntered)
         assert boffs
         # After the first bus-off, the failed 0x050 was dropped: the next
@@ -193,7 +193,7 @@ class TestRandomDos:
         attacker = sim.add_node(RandomDosAttacker(
             "attacker", legitimate_ids={0x050, 0x064}, seed=3))
         sim.add_node(CanNode("peer"))
-        sim.run(4_000)
+        sim.advance(4_000)
         ids = {e.frame.can_id for e in sim.events_of(FrameStarted)
                if e.node == "attacker"}
         assert len(ids) >= 3                # the ID actually varies
@@ -215,5 +215,6 @@ class TestRandomDos:
         sim.add_node(MichiCanNode("defender", range(0x100)))
         attacker = sim.add_node(RandomDosAttacker(
             "attacker", legitimate_ids=set(), seed=7))
-        hit = sim.run_until(lambda s: attacker.is_bus_off, 10_000)
+        hit = sim.advance_until(
+            lambda s: attacker.is_bus_off, 10_000, policy="off")
         assert hit is not None

@@ -23,7 +23,7 @@ class TestPolicy:
     def test_allowed_frame_forwarded(self):
         sim, firewall, ecu = firewall_bus()
         assert ecu.send(0, CanFrame(0x173, b"\x01"))
-        sim.run(400)
+        sim.advance(400)
         tx = sim.events_of(FrameTransmitted)
         assert len(tx) == 1 and tx[0].frame.can_id == 0x173
 
@@ -31,7 +31,7 @@ class TestPolicy:
         """A compromised guarded ECU cannot inject foreign IDs."""
         sim, firewall, ecu = firewall_bus()
         assert not ecu.send(0, CanFrame(0x000, bytes(8)))
-        sim.run(400)
+        sim.advance(400)
         assert not sim.events_of(FrameTransmitted)
         assert firewall.blocked and firewall.blocked[0].can_id == 0x000
 
@@ -57,7 +57,7 @@ class TestTableIProperties:
         sees it (MichiCAN adds zero)."""
         sim, firewall, ecu = firewall_bus()
         ecu.send(0, CanFrame(0x173, b"\x01"))
-        sim.run(400)
+        sim.advance(400)
         tx = sim.events_of(FrameTransmitted)[0]
         assert tx.started_at >= ecu.private_frame_bits
 
@@ -67,7 +67,7 @@ class TestTableIProperties:
         sim, firewall, ecu = firewall_bus()
         unguarded = sim.add_node(CanNode("unguarded_attacker"))
         unguarded.send(CanFrame(0x000, bytes(8)))
-        sim.run(400)
+        sim.advance(400)
         tx = sim.events_of(FrameTransmitted)
         assert any(e.frame.can_id == 0x000 for e in tx)
         assert not unguarded.is_bus_off  # nothing eradicates it
@@ -76,5 +76,5 @@ class TestTableIProperties:
         """The firewall adds no traffic of its own."""
         sim, firewall, ecu = firewall_bus()
         ecu.send(0, CanFrame(0x173, b"\x01"))
-        sim.run(2_000)
+        sim.advance(2_000)
         assert len(sim.events_of(FrameTransmitted)) == 1

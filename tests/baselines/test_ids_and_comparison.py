@@ -33,7 +33,7 @@ class TestFrequencyIds:
         sim, ids = ids_bus()
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x064))
-        sim.run(300)
+        sim.advance(300)
         assert ids.alerts_for(0x064)
         assert ids.alerts[0].reason == "unknown-id"
 
@@ -41,7 +41,7 @@ class TestFrequencyIds:
         sim, ids = ids_bus(min_period=1_000)
         sim.add_node(CanNode("attacker", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x173, period_bits=200)])))
-        sim.run(2_000)
+        sim.advance(2_000)
         reasons = {a.reason for a in ids.alerts_for(0x173)}
         assert "frequency" in reasons
 
@@ -49,14 +49,14 @@ class TestFrequencyIds:
         sim, ids = ids_bus(min_period=1_000)
         sim.add_node(CanNode("sender", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x173, period_bits=1_000)])))
-        sim.run(5_000)
+        sim.advance(5_000)
         assert ids.alerts == []
 
     def test_detection_is_not_eradication(self):
         """The IDS row of Table I: the attack continues after detection."""
         sim, ids = ids_bus()
         attacker = sim.add_node(DosAttacker("attacker", 0x064))
-        sim.run(10_000)
+        sim.advance(10_000)
         assert ids.first_alert_time(0x064) is not None
         assert not attacker.is_bus_off  # nothing stopped it
 
@@ -66,7 +66,7 @@ class TestFrequencyIds:
         sim, ids = ids_bus()
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x064, bytes(8)))
-        sim.run(300)
+        sim.advance(300)
         assert ids.first_alert_time(0x064) >= 100
 
 

@@ -18,7 +18,7 @@ class TestDetection:
         parrot = sim.add_node(ParrotNode("parrot", {0x173}))
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x173, b"\xFF" * 8))
-        sim.run(300)
+        sim.advance(300)
         tx = [e for e in sim.events_of(FrameTransmitted) if e.node == "attacker"]
         assert len(tx) == 1
         assert parrot.detections == 1
@@ -28,7 +28,7 @@ class TestDetection:
         parrot = sim.add_node(ParrotNode("parrot", {0x173}))
         peer = sim.add_node(CanNode("peer"))
         peer.send(CanFrame(0x100))
-        sim.run(300)
+        sim.advance(300)
         assert not parrot.is_armed
         assert parrot.counter_frames_sent == 0
 
@@ -38,7 +38,7 @@ class TestDetection:
                                          disarm_timeout_bits=500))
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x173, b"\xFF" * 8))
-        sim.run(2_000)
+        sim.advance(2_000)
         assert not parrot.is_armed
 
 
@@ -46,7 +46,7 @@ class TestFlooding:
     def test_bus_load_near_100_percent_while_armed(self):
         """The paper: Parrot's flooding overhead is ~97.7 % (125/128)."""
         setup = parrot_defense_setup(attack_period_bits=2_000)
-        setup.sim.run(30_000)
+        setup.sim.advance(30_000)
         trace = LogicTrace(setup.sim.wire.history)
         # Skip the pre-detection prefix; measure the armed phase.
         busy = trace.busy_fraction(start=3_000)
@@ -54,7 +54,7 @@ class TestFlooding:
 
     def test_counter_frames_use_attack_id(self):
         setup = parrot_defense_setup()
-        setup.sim.run(10_000)
+        setup.sim.advance(10_000)
         flood_tx = [e for e in setup.sim.events_of(FrameTransmitted)
                     if e.node == "parrot"]
         assert flood_tx
@@ -64,29 +64,32 @@ class TestFlooding:
 class TestEradication:
     def test_eventually_buses_off_attacker(self):
         setup = parrot_defense_setup()
-        hit = setup.sim.run_until(lambda s: setup.attacker.is_bus_off, 400_000)
+        hit = setup.sim.advance_until(
+            lambda s: setup.attacker.is_bus_off, 400_000, policy="off")
         assert hit is not None
 
     def test_much_slower_than_michican(self):
         """The headline comparison: MichiCAN kills in ~1.25k bits; Parrot
         needs at least an order of magnitude longer."""
         setup = parrot_defense_setup()
-        hit = setup.sim.run_until(lambda s: setup.attacker.is_bus_off, 400_000)
+        hit = setup.sim.advance_until(
+            lambda s: setup.attacker.is_bus_off, 400_000, policy="off")
         assert hit is not None and hit > 12_500
 
     def test_parrot_survives_its_own_counterattack(self):
         setup = parrot_defense_setup()
-        setup.sim.run_until(lambda s: setup.attacker.is_bus_off, 400_000)
+        setup.sim.advance_until(
+            lambda s: setup.attacker.is_bus_off, 400_000, policy="off")
         assert not setup.parrot.is_bus_off
 
     def test_synchronized_ablation_is_faster(self):
         """With zero start latency (hardware-synchronized mailboxes) Parrot
         collides deterministically and converges much faster."""
         slow = parrot_defense_setup(max_start_latency=4, seed=3)
-        slow_time = slow.sim.run_until(
-            lambda s: slow.attacker.is_bus_off, 600_000)
+        slow_time = slow.sim.advance_until(
+            lambda s: slow.attacker.is_bus_off, 600_000, policy="off")
         fast = parrot_defense_setup(max_start_latency=0, seed=3)
-        fast_time = fast.sim.run_until(
-            lambda s: fast.attacker.is_bus_off, 600_000)
+        fast_time = fast.sim.advance_until(
+            lambda s: fast.attacker.is_bus_off, 600_000, policy="off")
         assert fast_time is not None
         assert slow_time is None or fast_time < slow_time

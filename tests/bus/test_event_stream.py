@@ -28,7 +28,7 @@ def quiet_run(bits=2_000):
     for index in range(6):
         a.send(CanFrame(0x100 + index, b"\x01"))
         b.send(CanFrame(0x200 + index, b"\x02"))
-    sim.run(bits)
+    sim.advance(bits)
     return sim
 
 
@@ -36,7 +36,7 @@ def fight_run(bits=6_000):
     sim = CanBusSimulator(bus_speed=50_000)
     sim.add_node(MichiCanNode("defender", range(0x100)))
     sim.add_node(DosAttacker("attacker", 0x064))
-    sim.run(bits)
+    sim.advance(bits)
     return sim
 
 

@@ -1,10 +1,7 @@
 """Unit tests for the fast-forward engine and the ``advance()`` API."""
 
-import warnings
-
 import pytest
 
-import repro.bus.simulator as simulator_module
 from repro.bus.events import FrameTransmitted
 from repro.bus.fastforward import (
     FAST_FORWARD_POLICIES,
@@ -104,35 +101,6 @@ class TestAdvanceApi:
         # Every single bit went through the patched step.
         assert seen == list(range(300))
         assert sim._ff_engine is None
-
-
-class TestDeprecatedDelegates:
-    def _fresh_warning_state(self):
-        simulator_module._DEPRECATION_WARNED.clear()
-
-    def test_run_warns_once_and_delegates(self):
-        self._fresh_warning_state()
-        sim = periodic_sim()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sim.run(100)
-            sim.run(100)
-        messages = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 1
-        assert "advance" in str(messages[0].message)
-        assert sim.time == 200
-
-    def test_run_until_warns_and_pins_per_bit(self):
-        self._fresh_warning_state()
-        sim = periodic_sim()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sim.run_until(lambda s: False, 100)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert sim.time == 100
-        assert sim._ff_engine is None  # legacy semantics: strictly per-bit
 
 
 class TestEngineEligibility:

@@ -78,7 +78,7 @@ class TestSporadicErrorsNoFalseBusOff:
         sender = sim.add_node(CanNode("sender", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x123, period_bits=400)])))
         sim.add_node(CanNode("receiver"))
-        sim.run(120_000)
+        sim.advance(120_000)
         assert not sim.events_of(BusOffEntered)
         assert sender.tec < 128
         tx = [e for e in sim.events_of(FrameTransmitted) if e.node == "sender"]
@@ -93,7 +93,7 @@ class TestSporadicErrorsNoFalseBusOff:
         sender = sim.add_node(CanNode("sender", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x123, period_bits=400)])))
         sim.add_node(CanNode("receiver"))
-        sim.run(120_000)
+        sim.advance(120_000)
         assert not sim.events_of(BusOffEntered)
         assert sender.tec < 128
 
@@ -108,7 +108,7 @@ class TestSporadicErrorsNoFalseBusOff:
         sender = sim.add_node(CanNode("sender", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x123, period_bits=600)])))
         sim.add_node(CanNode("receiver"))
-        sim.run(60_000)
+        sim.advance(60_000)
         # Pathological channel: the node is repeatedly confined (bus-off).
         assert sim.events_of(BusOffEntered)
 
@@ -121,7 +121,7 @@ class TestSporadicErrorsNoFalseBusOff:
         sim.add_node(CanNode("receiver"))
         from repro.can.frame import CanFrame
         sender.send(CanFrame(0x123, b"\x55" * 4))
-        sim.run(500)
+        sim.advance(500)
         tx = [e for e in sim.events_of(FrameTransmitted) if e.node == "sender"]
         assert len(tx) == 1
         assert tx[0].attempts >= 2  # the burst forced at least one retry

@@ -34,7 +34,7 @@ class TestTopology:
 
     def test_run_without_nodes(self):
         with pytest.raises(SimulationError):
-            CanBusSimulator().run(10)
+            CanBusSimulator().advance(10)
 
     def test_add_nodes_returns_sim(self):
         sim = CanBusSimulator()
@@ -51,7 +51,7 @@ class TestRun:
     def test_idle_bus_stays_recessive(self):
         sim = CanBusSimulator()
         sim.add_node(CanNode("a"))
-        sim.run(50)
+        sim.advance(50)
         assert sim.wire.history == [RECESSIVE] * 50
         assert sim.time == 50
 
@@ -59,22 +59,24 @@ class TestRun:
         sim = CanBusSimulator()
         sim.add_node(CanNode("a"))
         with pytest.raises(ConfigurationError):
-            sim.run(-1)
+            sim.advance(-1)
 
     def test_run_until_predicate(self):
         sim = CanBusSimulator()
         a, b = CanNode("a"), CanNode("b")
         sim.add_node(a), sim.add_node(b)
         a.send(CanFrame(0x123))
-        hit = sim.run_until(
-            lambda s: bool(s.events_of(FrameTransmitted)), limit=500
+        hit = sim.advance_until(
+            lambda s: bool(s.events_of(FrameTransmitted)), limit=500,
+            policy="off"
         )
         assert hit is not None
 
     def test_run_until_limit(self):
         sim = CanBusSimulator()
         sim.add_node(CanNode("a"))
-        assert sim.run_until(lambda s: False, limit=20) is None
+        assert sim.advance_until(
+            lambda s: False, limit=20, policy="off") is None
         assert sim.time == 20
 
     def test_request_stop_from_listener(self):
@@ -86,7 +88,7 @@ class TestRun:
             lambda e: sim.request_stop()
             if isinstance(e, FrameTransmitted) else None
         )
-        sim.run(10_000)
+        sim.advance(10_000)
         assert sim.time < 10_000
 
     def test_run_until_honors_request_stop(self):
@@ -98,21 +100,23 @@ class TestRun:
             lambda e: sim.request_stop()
             if isinstance(e, FrameTransmitted) else None
         )
-        assert sim.run_until(lambda s: False, limit=10_000) is None
+        assert sim.advance_until(
+            lambda s: False, limit=10_000, policy="off") is None
         assert sim.time < 10_000
 
     def test_run_until_resets_stale_stop_request(self):
         sim = CanBusSimulator()
         sim.add_node(CanNode("a"))
         sim.request_stop()
-        assert sim.run_until(lambda s: False, limit=20) is None
+        assert sim.advance_until(
+            lambda s: False, limit=20, policy="off") is None
         assert sim.time == 20  # stale request must not cut the run short
 
     def test_run_resets_stale_stop_request(self):
         sim = CanBusSimulator()
         sim.add_node(CanNode("a"))
         sim.request_stop()
-        sim.run(20)
+        sim.advance(20)
         assert sim.time == 20
 
     def test_run_until_predicate_wins_over_stop(self):
@@ -124,8 +128,9 @@ class TestRun:
             lambda e: sim.request_stop()
             if isinstance(e, FrameTransmitted) else None
         )
-        hit = sim.run_until(
-            lambda s: bool(s.events_of(FrameTransmitted)), limit=10_000
+        hit = sim.advance_until(
+            lambda s: bool(s.events_of(FrameTransmitted)), limit=10_000,
+            policy="off"
         )
         assert hit is not None  # same bit: predicate reported, not the stop
 
@@ -141,7 +146,7 @@ class TestRunLoopEquivalence:
 
     def test_tight_run_loop_matches_stepping(self):
         fast = self._build()
-        fast.run(400)
+        fast.advance(400)
         slow = self._build()
         for _ in range(400):
             slow.step()
@@ -159,7 +164,7 @@ class TestRunLoopEquivalence:
             return original_step()
 
         sim.step = traced_step  # type: ignore[method-assign]
-        sim.run(50)
+        sim.advance(50)
         assert len(calls) == 50
 
 
@@ -169,7 +174,7 @@ class TestEventPlumbing:
         a, b = CanNode("a"), CanNode("b")
         sim.add_node(a), sim.add_node(b)
         a.send(CanFrame(0x123, b"\x01"))
-        sim.run(300)
+        sim.advance(300)
         assert len(sim.events_of(FrameTransmitted)) == 1
         assert len(sim.events_of(FrameReceived)) == 1
 
@@ -180,7 +185,7 @@ class TestEventPlumbing:
         seen = []
         sim.on_event(seen.append)
         a.send(CanFrame(0x123))
-        sim.run(300)
+        sim.advance(300)
         assert seen == sim.events
 
     def test_on_event_returns_unsubscribe_handle(self):
@@ -190,13 +195,13 @@ class TestEventPlumbing:
         seen = []
         unsubscribe = sim.on_event(seen.append)
         a.send(CanFrame(0x123))
-        sim.run(150)
+        sim.advance(150)
         count = len(seen)
         assert count > 0
         unsubscribe()
         unsubscribe()  # idempotent
         a.send(CanFrame(0x124))
-        sim.run(300)
+        sim.advance(300)
         assert len(seen) == count
 
     def test_off_event(self):
@@ -207,7 +212,7 @@ class TestEventPlumbing:
         sim.on_event(seen.append)
         sim.off_event(seen.append)
         a.send(CanFrame(0x123))
-        sim.run(300)
+        sim.advance(300)
         assert seen == []
 
     def test_off_event_unknown_listener_rejected(self):
@@ -220,7 +225,7 @@ class TestEventPlumbing:
         a, b = CanNode("a"), CanNode("b")
         sim.add_node(a), sim.add_node(b)
         a.send(CanFrame(0x123, b"\x01"))
-        sim.run(300)
+        sim.advance(300)
         # per-type index result matches a linear scan, in stream order
         for event_type in (FrameTransmitted, FrameReceived):
             assert sim.events_of(event_type) == [
@@ -233,7 +238,7 @@ class TestEventPlumbing:
         a, b = CanNode("a"), CanNode("b")
         sim.add_node(a), sim.add_node(b)
         a.send(CanFrame(0x123))
-        sim.run(300)
+        sim.advance(300)
         assert sim.events_of(Event) == sim.events
 
     def test_events_of_unseen_type_is_empty(self):
@@ -241,7 +246,7 @@ class TestEventPlumbing:
 
         sim = CanBusSimulator()
         sim.add_node(CanNode("a"))
-        sim.run(20)
+        sim.advance(20)
         assert sim.events_of(BusOffEntered) == []
 
 
@@ -253,5 +258,5 @@ class TestTimeConversion:
     def test_seconds_default_current_time(self):
         sim = CanBusSimulator(bus_speed=500_000)
         sim.add_node(CanNode("a"))
-        sim.run(500)
+        sim.advance(500)
         assert sim.seconds() == pytest.approx(0.001)

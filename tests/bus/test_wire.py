@@ -118,7 +118,7 @@ class TestBoundedWire:
 
         sim = CanBusSimulator(wire_history_bits=32)
         sim.add_node(CanNode("a"))
-        sim.run(100)
+        sim.advance(100)
         assert len(sim.wire.history) == 32
         assert sim.wire.dropped_bits == 68
         assert sim.wire.total_bits == 100

@@ -107,7 +107,7 @@ class TestOnTheWire:
         received = []
         b.on_frame_received(lambda t, f: received.append(f))
         a.send(frame)
-        sim.run(400)
+        sim.advance(400)
         assert received == [frame]
         assert received[0].extended
 
@@ -119,7 +119,7 @@ class TestOnTheWire:
         sim.add_node(x), sim.add_node(y)
         x.send(CanFrame(0x100 << 18, extended=True))
         y.send(CanFrame(0x100))
-        sim.run(700)
+        sim.advance(700)
         order = [e.frame.extended for e in sim.events_of(FrameTransmitted)]
         assert order == [False, True]
         lost = sim.events_of(ArbitrationLost)
@@ -134,7 +134,7 @@ class TestOnTheWire:
         base = 0x100 << 18
         x.send(CanFrame(base | 0x3FF, extended=True))
         y.send(CanFrame(base | 0x0FF, extended=True))
-        sim.run(800)
+        sim.advance(800)
         ids = [e.frame.can_id for e in sim.events_of(FrameTransmitted)]
         assert ids == [base | 0x0FF, base | 0x3FF]
 
@@ -145,6 +145,6 @@ class TestOnTheWire:
         a.send(CanFrame(0x18DAF110, b"\x01\x02", extended=True))
         a.send(CanFrame(0x123, b"\x03"))
         b.send(CanFrame(0x0CFE6CEE, b"\x04" * 8, extended=True))
-        sim.run(1_500)
+        sim.advance(1_500)
         assert len(sim.events_of(FrameTransmitted)) == 3
         assert all(n.tec == 0 for n in sim.nodes)

@@ -34,7 +34,7 @@ class TestDosPrevention:
         sim, defender = defended_bus()
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x064, bytes(8)))
-        sim.run_until(lambda s: attacker.is_bus_off, 10_000)
+        sim.advance_until(lambda s: attacker.is_bus_off, 10_000, policy="off")
         assert attacker.is_bus_off
         boff = sim.events_of(BusOffEntered)[0]
         attempts = [e for e in sim.events_of(FrameStarted)
@@ -45,7 +45,7 @@ class TestDosPrevention:
         sim, defender = defended_bus()
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x064, bytes(8)))
-        sim.run_until(lambda s: attacker.is_bus_off, 10_000)
+        sim.advance_until(lambda s: attacker.is_bus_off, 10_000, policy="off")
         first = [e for e in sim.events_of(FrameStarted) if e.node == "attacker"][0]
         boff = sim.events_of(BusOffEntered)[0]
         busoff_bits = boff.time + 14 - first.time
@@ -57,7 +57,7 @@ class TestDosPrevention:
         sim, defender = defended_bus()
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x173, bytes(8)))  # defender's own ID
-        sim.run_until(lambda s: attacker.is_bus_off, 10_000)
+        sim.advance_until(lambda s: attacker.is_bus_off, 10_000, policy="off")
         assert attacker.is_bus_off
 
     def test_defender_tec_unaffected(self):
@@ -66,14 +66,14 @@ class TestDosPrevention:
         sim, defender = defended_bus()
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x064, bytes(8)))
-        sim.run_until(lambda s: attacker.is_bus_off, 10_000)
+        sim.advance_until(lambda s: attacker.is_bus_off, 10_000, policy="off")
         assert defender.tec == 0
 
     def test_legitimate_traffic_not_attacked(self):
         sim, defender = defended_bus()
         peer = sim.add_node(CanNode("peer", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x0A0, period_bits=500)])))
-        sim.run(5_000)
+        sim.advance(5_000)
         assert defender.counterattacks == 0
         assert not peer.is_bus_off
         assert len([e for e in sim.events_of(FrameTransmitted)
@@ -85,14 +85,14 @@ class TestDosPrevention:
         sim, defender = defended_bus()
         other = sim.add_node(CanNode("other"))
         other.send(CanFrame(0x200, bytes(8)))
-        sim.run(400)
+        sim.advance(400)
         assert defender.counterattacks == 0
 
     def test_miscellaneous_id_not_attacked(self):
         sim, defender = defended_bus()
         other = sim.add_node(CanNode("other"))
         other.send(CanFrame(0x7F0, bytes(8)))
-        sim.run(400)
+        sim.advance(400)
         assert defender.counterattacks == 0
 
     def test_own_transmissions_not_self_attacked(self):
@@ -100,7 +100,7 @@ class TestDosPrevention:
             scheduler=PeriodicScheduler([PeriodicMessage(0x173, period_bits=600)])
         )
         sim.add_node(CanNode("listener"))
-        sim.run(4_000)
+        sim.advance(4_000)
         assert defender.counterattacks == 0
         tx = [e for e in sim.events_of(FrameTransmitted) if e.node == "defender"]
         assert len(tx) >= 6
@@ -111,7 +111,7 @@ class TestEvents:
         sim, defender = defended_bus()
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x064, bytes(8)))
-        sim.run(200)
+        sim.advance(200)
         detections = sim.events_of(AttackDetected)
         starts = sim.events_of(CounterattackStarted)
         ends = sim.events_of(CounterattackEnded)
@@ -124,7 +124,7 @@ class TestEvents:
         sim, defender = defended_bus()
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x000, bytes(8)))
-        sim.run(200)
+        sim.advance(200)
         det = sim.events_of(AttackDetected)[0]
         expected = defender.firmware.fsm.decision_depth(0x000)
         assert det.detection_bit == expected
@@ -137,7 +137,7 @@ class TestRecoveryAndPersistence:
         sim, defender = defended_bus()
         attacker = sim.add_node(CanNode("attacker"))
         attacker.scheduler.add(PeriodicMessage(0x064, period_bits=3000))
-        sim.run(25_000)
+        sim.advance(25_000)
         boffs = [e for e in sim.events_of(BusOffEntered) if e.node == "attacker"]
         recoveries = sim.events_of(BusOffRecovered)
         assert len(boffs) >= 2
@@ -149,7 +149,7 @@ class TestRecoveryAndPersistence:
             [PeriodicMessage(0x2F0, period_bits=1000)])))
         attacker = sim.add_node(CanNode("attacker", auto_recover=False))
         attacker.send(CanFrame(0x010, bytes(8)))
-        sim.run(12_000)
+        sim.advance(12_000)
         assert attacker.is_bus_off
         victim_tx = [e for e in sim.events_of(FrameTransmitted)
                      if e.node == "victim"]
@@ -167,7 +167,7 @@ class TestDistributedDeployment:
         d2 = sim.add_node(MichiCanNode("d2", IVN.ecu_config(0x3D5)))
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x064, bytes(8)))
-        sim.run_until(lambda s: attacker.is_bus_off, 10_000)
+        sim.advance_until(lambda s: attacker.is_bus_off, 10_000, policy="off")
         assert attacker.is_bus_off
         assert d1.counterattacks > 0 and d2.counterattacks > 0
         assert d1.tec == 0 and d2.tec == 0
@@ -179,7 +179,7 @@ class TestDistributedDeployment:
         d2 = sim.add_node(MichiCanNode("d2", IVN.ecu_config(0x3D5)))
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x064, bytes(8)))
-        sim.run_until(lambda s: attacker.is_bus_off, 10_000)
+        sim.advance_until(lambda s: attacker.is_bus_off, 10_000, policy="off")
         assert attacker.is_bus_off
 
     def test_light_scenario_upper_half_covers_dos(self):
@@ -189,7 +189,7 @@ class TestDistributedDeployment:
         defender = sim.add_node(MichiCanNode("d", ivn.ecu_config(0x2F0)))
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x064, bytes(8)))
-        sim.run_until(lambda s: attacker.is_bus_off, 10_000)
+        sim.advance_until(lambda s: attacker.is_bus_off, 10_000, policy="off")
         assert attacker.is_bus_off
 
     def test_light_scenario_lower_half_spoof_only(self):
@@ -198,9 +198,9 @@ class TestDistributedDeployment:
         defender = sim.add_node(MichiCanNode("d", ivn.ecu_config(0x0A0)))
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x064, bytes(8)))  # DoS, not spoof of 0x0A0
-        sim.run(1_000)
+        sim.advance(1_000)
         assert defender.counterattacks == 0  # spoof-only node ignores DoS
         attacker2 = sim.add_node(CanNode("attacker2"))
         attacker2.send(CanFrame(0x0A0, bytes(8)))  # spoof of 0x0A0
-        sim.run_until(lambda s: attacker2.is_bus_off, 60_000)
+        sim.advance_until(lambda s: attacker2.is_bus_off, 60_000, policy="off")
         assert attacker2.is_bus_off

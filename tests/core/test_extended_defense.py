@@ -28,7 +28,7 @@ class TestExtendedDetection:
         sim, defender = dual_bus()
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x00123456, bytes(8), extended=True))
-        sim.run_until(lambda s: attacker.is_bus_off, 15_000)
+        sim.advance_until(lambda s: attacker.is_bus_off, 15_000, policy="off")
         assert attacker.is_bus_off
         boff = sim.events_of(BusOffEntered)[0]
         starts = [e for e in sim.events if type(e).__name__ == "FrameStarted"
@@ -39,7 +39,7 @@ class TestExtendedDetection:
         sim, defender = dual_bus()
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x00123456, bytes(8), extended=True))
-        sim.run(200)
+        sim.advance(200)
         assert defender.detections
         assert defender.detections[0].extended
 
@@ -47,7 +47,7 @@ class TestExtendedDetection:
         sim, defender = dual_bus()
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(0x064, bytes(8)))
-        sim.run_until(lambda s: attacker.is_bus_off, 15_000)
+        sim.advance_until(lambda s: attacker.is_bus_off, 15_000, policy="off")
         assert attacker.is_bus_off
         assert not defender.detections[0].extended
 
@@ -62,7 +62,7 @@ class TestExtendedDetection:
         sim, defender = dual_bus()
         peer = sim.add_node(CanNode("peer"))
         peer.send(CanFrame(LEGIT_EXT_ID, b"\x55", extended=True))
-        sim.run(400)
+        sim.advance(400)
         assert defender.counterattacks == 0
         tx = sim.events_of(FrameTransmitted)
         assert len(tx) == 1 and tx[0].frame.can_id == LEGIT_EXT_ID
@@ -71,7 +71,7 @@ class TestExtendedDetection:
         sim, defender = dual_bus()
         peer = sim.add_node(CanNode("peer"))
         peer.send(CanFrame(0x1F000000, b"\x55", extended=True))
-        sim.run(400)
+        sim.advance(400)
         assert defender.counterattacks == 0
 
     def test_benign_standard_frame_with_extended_base_prefix(self):
@@ -81,7 +81,7 @@ class TestExtendedDetection:
         sim, defender = dual_bus()
         peer = sim.add_node(CanNode("peer"))
         peer.send(CanFrame(0x200, b"\x01"))  # outside the standard range
-        sim.run(400)
+        sim.advance(400)
         assert defender.counterattacks == 0
 
     def test_classic_mode_ignores_extended_frames(self):
@@ -92,7 +92,7 @@ class TestExtendedDetection:
         peer = sim.add_node(CanNode("peer"))
         # Base 0x200 (benign for the standard FSM), extension arbitrary.
         peer.send(CanFrame((0x200 << 18) | 0x155, b"\x01", extended=True))
-        sim.run(400)
+        sim.advance(400)
         assert defender.counterattacks == 0
         assert len(sim.events_of(FrameTransmitted)) == 1
 
@@ -104,9 +104,9 @@ class TestDualModeInterleaving:
         ext_attacker = sim.add_node(CanNode("ext_attacker"))
         std_attacker.send(CanFrame(0x050, bytes(8)))
         ext_attacker.send(CanFrame(0x00333333, bytes(8), extended=True))
-        sim.run_until(
+        sim.advance_until(
             lambda s: std_attacker.is_bus_off and ext_attacker.is_bus_off,
-            40_000,
+            40_000, policy="off"
         )
         assert std_attacker.is_bus_off
         assert ext_attacker.is_bus_off
@@ -115,7 +115,7 @@ class TestDualModeInterleaving:
         sim, defender = dual_bus()
         std_attacker = sim.add_node(CanNode("std_attacker"))
         std_attacker.send(CanFrame(0x000, bytes(8)))
-        sim.run(300)
+        sim.advance(300)
         detections = sim.events_of(AttackDetected)
         assert detections
         assert 1 <= detections[0].detection_bit <= 11

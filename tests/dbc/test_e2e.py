@@ -103,7 +103,7 @@ class TestMonitorOnTheBus:
         receiver = sim.add_node(CanNode("receiver"))
         monitor = E2eMonitor(profiles={0x173: profile})
         receiver.on_frame_received(monitor.on_frame)
-        sim.run(6_000)
+        sim.advance(6_000)
         counts = monitor.statuses[0x173]
         assert set(counts) == {E2eStatus.OK}
         assert monitor.distrusted_ids() == []
@@ -118,7 +118,7 @@ class TestMonitorOnTheBus:
         receiver = sim.add_node(CanNode("receiver"))
         monitor = E2eMonitor(profiles={0x173: profile})
         receiver.on_frame_received(monitor.on_frame)
-        sim.run(6_000)
+        sim.advance(6_000)
         assert monitor.distrusted_ids() == [0x173]
         assert E2eStatus.WRONG_CRC in monitor.statuses[0x173]
 
@@ -135,7 +135,7 @@ class TestMonitorOnTheBus:
         monitor = E2eMonitor(profiles={0x173: profile})
         receiver.on_frame_received(monitor.on_frame)
         sim.add_node(DosAttacker("attacker", 0x000))
-        sim.run(20_000)
+        sim.advance(20_000)
         assert 0x173 not in monitor.statuses  # starved silently
         # MichiCAN restores availability where E2E cannot:
         sim2 = CanBusSimulator()
@@ -147,5 +147,5 @@ class TestMonitorOnTheBus:
         monitor2 = E2eMonitor(profiles={0x173: profile})
         receiver2.on_frame_received(monitor2.on_frame)
         sim2.add_node(DosAttacker("attacker", 0x000))
-        sim2.run(20_000)
+        sim2.advance(20_000)
         assert monitor2.statuses.get(0x173, {}).get(E2eStatus.OK, 0) > 0

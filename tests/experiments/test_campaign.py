@@ -56,14 +56,15 @@ class TestScenarioSpec:
         assert ScenarioSpec("exp4", label="x").name == "x"
 
     def test_spec_run_produces_result(self):
-        result = ScenarioSpec("exp4", duration_bits=4_000).run()
+        result = execute_spec(ScenarioSpec("exp4", duration_bits=4_000)).result
         assert result.name == "exp4"
         assert result.duration_bits == 4_000
         assert result.episodes["attacker"]
 
     def test_params_reach_factory(self):
-        result = ScenarioSpec("multi_attacker", {"num_attackers": 2},
-                              duration_bits=6_000).run()
+        result = execute_spec(ScenarioSpec(
+            "multi_attacker", {"num_attackers": 2},
+            duration_bits=6_000)).result
         assert len(result.episodes) == 2
 
 

@@ -1,10 +1,10 @@
-"""Tests for :class:`RunConfig` and the legacy-keyword deprecation shims."""
+"""Tests for :class:`RunConfig` and the entry points that take it."""
 
+import dataclasses
 import warnings
 
 import pytest
 
-import repro.experiments.config as config_module
 from repro.errors import ConfigurationError
 from repro.experiments import (
     DEFAULT_DURATION_BITS,
@@ -16,19 +16,13 @@ from repro.experiments import (
 from repro.experiments.scenarios import experiment_1
 
 
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    config_module._WARNED_SHIMS.clear()
-    yield
-    config_module._WARNED_SHIMS.clear()
-
-
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.duration_bits == DEFAULT_DURATION_BITS
         assert cfg.engine == "fast"
-        assert cfg.record_wire is True
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "duration_bits", "bus_speed", "name", "engine"]
 
     def test_engine_validation(self):
         assert ENGINES == ("fast", "bit")
@@ -55,21 +49,7 @@ class TestRunConfig:
 
 
 class TestLegacyShims:
-    def test_legacy_kwargs_warn_once_per_entry_point(self):
-        setup = experiment_1()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            setup.run(2_000)
-            experiment_1().run(2_000)
-        shim_warnings = [w for w in caught
-                         if issubclass(w.category, DeprecationWarning)
-                         and "RunConfig" in str(w.message)]
-        assert len(shim_warnings) == 1
-
-    def test_config_plus_legacy_is_ambiguous(self):
-        setup = experiment_1()
-        with pytest.raises(ConfigurationError, match="not both"):
-            setup.run(2_000, config=RunConfig(duration_bits=2_000))
+    """The one ``config=`` path that replaced the pre-RunConfig keywords."""
 
     def test_config_path_does_not_warn(self):
         setup = experiment_1()
@@ -77,28 +57,12 @@ class TestLegacyShims:
             warnings.simplefilter("always")
             setup.run(config=RunConfig(duration_bits=2_000))
         assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "RunConfig" in str(w.message)]
-
-    def test_legacy_and_config_results_match(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = experiment_1().run(4_000)
-        modern = experiment_1().run(config=RunConfig(duration_bits=4_000))
-        assert legacy.to_dict() == modern.to_dict()
-
-    def test_make_simulator_legacy_speed(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sim = make_simulator(bus_speed=125_000)
-        assert sim.bus_speed == 125_000
-        assert any("RunConfig" in str(w.message) for w in caught)
+                    if issubclass(w.category, DeprecationWarning)]
 
     def test_make_simulator_config(self):
-        sim = make_simulator(config=RunConfig(
-            bus_speed=125_000, record_wire=False))
+        sim = make_simulator(config=RunConfig(bus_speed=125_000))
         assert sim.bus_speed == 125_000
-        assert not sim.wire.record
+        assert sim.wire.record
 
     def test_run_and_measure_engine_selection(self):
         setup = experiment_1()

@@ -35,7 +35,7 @@ def test_apply_installs_injectors_on_every_layer():
     assert set(applied.node_injectors) == {"a"}
     assert len(applied.harness_nodes) == 1
     assert applied.harness_nodes[0] in sim.nodes
-    sim.run(50)
+    sim.advance(50)
     kinds = {(e.node, e.kind) for e in sim.events_of(FaultActivated)}
     assert kinds == {("wire", "wire.flip"), ("a", "node.tx_stuck")}
 
@@ -83,7 +83,7 @@ def test_probe_counts_fault_activations_per_node():
     sim.add_nodes(CanNode("a"), CanNode("b"))
     apply_fault_plan(sim, multi_layer_plan())
     sim.node("b").send(CanFrame(0x123, b"\x01"))
-    sim.run(300)
+    sim.advance(300)
     summary = probe.summary()
     assert summary.nodes["a"]["fault_activations"] == 1
     assert summary.nodes["wire"]["fault_activations"] == 1

@@ -38,9 +38,9 @@ def test_delayed_window_shifts_and_restores_the_trigger():
     original = defender.firmware.trigger_position
     install(sim, defender, defense_spec(
         "defense.delayed_window", window=FaultWindow(0, 40), delay_bits=3))
-    sim.run(10)
+    sim.advance(10)
     assert defender.firmware.trigger_position == original + 3
-    sim.run(50)
+    sim.advance(50)
     assert defender.firmware.trigger_position == original
 
 
@@ -50,9 +50,9 @@ def test_truncated_window_swaps_and_restores_attack_duration():
     install(sim, defender, defense_spec(
         "defense.truncated_window", window=FaultWindow(0, 40),
         duration_bits=1))
-    sim.run(10)
+    sim.advance(10)
     assert defender.firmware.attack_duration == 1
-    sim.run(50)
+    sim.advance(50)
     assert defender.firmware.attack_duration == original
 
 
@@ -72,9 +72,9 @@ def test_corrupt_fsm_scrambles_the_table_then_restores_it():
     before = list(table)
     install(sim, defender, defense_spec(
         "defense.corrupt_fsm", window=FaultWindow(0, 40), entries=4))
-    sim.run(10)
+    sim.advance(10)
     assert list(table) != before, "entries flipped inside the window"
-    sim.run(50)
+    sim.advance(50)
     assert list(table) == before, "the table heals when the window closes"
 
 
@@ -84,7 +84,7 @@ def test_corrupt_fsm_is_seeded():
         sim, defender = fight_sim()
         install(sim, defender, defense_spec(
             "defense.corrupt_fsm", window=FaultWindow(0, 40), entries=4))
-        sim.run(10)
+        sim.advance(10)
         corrupted.append(list(defender.firmware.fsm._table))
     assert corrupted[0] == corrupted[1]
 
@@ -97,7 +97,7 @@ def test_detection_raises_surfaces_an_injected_fault_error():
         [PeriodicMessage(0x123, period_bits=2000)])))
     install(sim, defender, defense_spec("defense.detection_raises"))
     with pytest.raises(InjectedFaultError):
-        sim.run(20_000)
+        sim.advance(20_000)
     assert defender.firmware.detections, "the callback fired before raising"
 
 

@@ -35,7 +35,7 @@ def test_tx_stuck_dominant_jams_the_bus_during_the_window():
     sim.add_nodes(CanNode("a"), CanNode("b"))
     install(sim, node_spec("node.tx_stuck", window=FaultWindow(20, 30),
                            level=DOMINANT))
-    sim.run(60)
+    sim.advance(60)
     history = list(sim.wire.history)
     assert all(level == DOMINANT for level in history[20:30])
     assert all(level == RECESSIVE for level in history[:20])
@@ -58,7 +58,7 @@ def test_babbling_node_floods_the_bus():
     sim = CanBusSimulator()
     sim.add_nodes(CanNode("a"), CanNode("b"))
     install(sim, node_spec("node.babbling", can_id=0x001, dlc=2))
-    sim.run(2_000)
+    sim.advance(2_000)
     attempts = [e for e in sim.events_of(FrameStarted) if e.node == "a"]
     delivered = [e for e in sim.events_of(FrameTransmitted) if e.node == "a"]
     assert len(delivered) >= 3, "a babbling idiot sends back-to-back frames"
@@ -146,7 +146,7 @@ def test_mid_frame_reset_recovers_and_retransmits():
     sim.add_nodes(CanNode("a"), CanNode("b"))
     install(sim, node_spec("node.reset", window=FaultWindow(20, 21)))
     sim.node("a").send(CanFrame(0x123, b"\x55"))
-    sim.run(400)
+    sim.advance(400)
     starts = [e for e in sim.events_of(FrameStarted) if e.node == "a"]
     done = [e for e in sim.events_of(FrameTransmitted) if e.node == "a"]
     assert len(starts) >= 2, "the power glitch aborts the first attempt"
@@ -158,7 +158,7 @@ def test_power_cycle_reinitialises_controller_state():
     sim = CanBusSimulator()
     sim.add_nodes(CanNode("a"), CanNode("b"))
     sim.node("a").send(CanFrame(0x123, b"\x55"))
-    sim.run(20)  # mid-frame
+    sim.advance(20)  # mid-frame
     node = sim.node("a")
     assert node.state is ControllerState.TRANSMITTING
     node.power_cycle(20)

@@ -65,7 +65,7 @@ class TestBasicTransfer:
     def test_point_to_point(self):
         sim, (a, b) = make_bus("a", "b")
         a.send(CanFrame(0x123, b"\xDE\xAD"))
-        sim.run(300)
+        sim.advance(300)
         rx = sim.events_of(FrameReceived)
         assert [e.node for e in rx] == ["b"]
         assert rx[0].frame == CanFrame(0x123, b"\xDE\xAD")
@@ -73,7 +73,7 @@ class TestBasicTransfer:
     def test_broadcast_to_all_receivers(self):
         sim, nodes = make_bus("a", "b", "c", "d")
         nodes[0].send(CanFrame(0x050, b"\x01"))
-        sim.run(300)
+        sim.advance(300)
         receivers = sorted(e.node for e in sim.events_of(FrameReceived))
         assert receivers == ["b", "c", "d"]
 
@@ -82,7 +82,7 @@ class TestBasicTransfer:
         got = []
         b.on_frame_received(lambda t, f: got.append((t, f)))
         a.send(CanFrame(0x111, b"\x42"))
-        sim.run(300)
+        sim.advance(300)
         assert len(got) == 1
         assert got[0][1].data == b"\x42"
 
@@ -90,14 +90,14 @@ class TestBasicTransfer:
         sim, (a, b) = make_bus("a", "b")
         a.faults.tec = 10
         a.send(CanFrame(0x123))
-        sim.run(300)
+        sim.advance(300)
         assert a.tec == 9
 
     def test_back_to_back_frames_respect_ifs(self):
         sim, (a, b) = make_bus("a", "b")
         a.send(CanFrame(0x100, b"\x01"))
         a.send(CanFrame(0x100, b"\x02"))
-        sim.run(600)
+        sim.advance(600)
         tx = sim.events_of(FrameTransmitted)
         assert len(tx) == 2
         starts = [e.time for e in sim.events_of(FrameStarted)]
@@ -113,7 +113,7 @@ class TestBasicTransfer:
         received = []
         b.on_frame_received(lambda t, f: received.append(f))
         a.send(frame)
-        sim.run(300)
+        sim.advance(300)
         assert received == [frame]
 
 
@@ -122,7 +122,7 @@ class TestArbitration:
         sim, (x, y) = make_bus("x", "y")
         x.send(CanFrame(0x2AA, b"\x01"))
         y.send(CanFrame(0x0AA, b"\x02"))
-        sim.run(700)
+        sim.advance(700)
         tx = sim.events_of(FrameTransmitted)
         assert [e.frame.can_id for e in tx] == [0x0AA, 0x2AA]
 
@@ -131,7 +131,7 @@ class TestArbitration:
         x.send(CanFrame(0x300))
         y.send(CanFrame(0x200))
         z.send(CanFrame(0x100))
-        sim.run(1200)
+        sim.advance(1200)
         tx_ids = [e.frame.can_id for e in sim.events_of(FrameTransmitted)]
         assert tx_ids == [0x100, 0x200, 0x300]
 
@@ -140,7 +140,7 @@ class TestArbitration:
         sim, (x, y) = make_bus("x", "y")
         x.send(CanFrame(0x7F0))
         y.send(CanFrame(0x010))
-        sim.run(800)
+        sim.advance(800)
         assert x.tec == 0 and y.tec == 0
         assert not sim.events_of(ErrorDetected)
 
@@ -148,7 +148,7 @@ class TestArbitration:
         sim, (x, y) = make_bus("x", "y")
         x.send(CanFrame(0x700, b"\x07"))
         y.send(CanFrame(0x007, b"\x70"))
-        sim.run(800)
+        sim.advance(800)
         rx_by_x = [e for e in sim.events_of(FrameReceived) if e.node == "x"]
         assert rx_by_x and rx_by_x[0].frame.can_id == 0x007
 
@@ -157,7 +157,7 @@ class TestArbitration:
         # 0x400 vs 0x000: first ID bit differs -> loss at unstuffed index 1.
         x.send(CanFrame(0x400))
         y.send(CanFrame(0x000))
-        sim.run(800)
+        sim.advance(800)
         lost = sim.events_of(ArbitrationLost)
         assert lost and lost[0].node == "x"
         assert lost[0].bit_position == 1
@@ -170,7 +170,7 @@ class TestArbitration:
         nodes = [sim.add_node(CanNode(f"n{i}")) for i in range(len(ids))]
         for node, can_id in zip(nodes, ids):
             node.send(CanFrame(can_id))
-        sim.run(400 * len(ids))
+        sim.advance(400 * len(ids))
         tx_ids = [e.frame.can_id for e in sim.events_of(FrameTransmitted)]
         assert tx_ids == sorted(ids)
 
@@ -180,7 +180,7 @@ class TestAckHandling:
         sim = CanBusSimulator()
         a = sim.add_node(CanNode("a"))
         a.send(CanFrame(0x123))
-        sim.run(200)
+        sim.advance(200)
         errors = sim.events_of(ErrorDetected)
         assert errors
         assert errors[0].error.error_type is CanErrorType.ACK
@@ -191,7 +191,7 @@ class TestAckHandling:
         sim = CanBusSimulator()
         a = sim.add_node(CanNode("a"))
         a.send(CanFrame(0x123))
-        sim.run(30_000)
+        sim.advance(30_000)
         assert not a.is_bus_off
         assert a.tec <= 128
 
@@ -199,7 +199,7 @@ class TestAckHandling:
         sim = CanBusSimulator()
         a = sim.add_node(CanNode("a"))
         a.send(CanFrame(0x123))
-        sim.run(400)
+        sim.advance(400)
         assert not sim.events_of(FrameTransmitted)
         assert a.queue.has_pending
 
@@ -209,7 +209,7 @@ class TestErrorSignalling:
         sim, (atk, obs) = make_bus("atk", "obs")
         sim.add_node(DominantInjector())
         atk.send(CanFrame(0x173, bytes(8)))
-        sim.run(120)
+        sim.advance(120)
         kinds = {e.error.error_type for e in sim.events_of(ErrorDetected)}
         assert CanErrorType.BIT in kinds       # transmitter view
         assert CanErrorType.STUFF in kinds     # receiver view
@@ -219,14 +219,16 @@ class TestErrorSignalling:
         sim.add_node(DominantInjector())
         atk.send(CanFrame(0x173, bytes(8)))
         # Run until exactly 3 attempts have started.
-        sim.run_until(lambda s: len(s.events_of(FrameStarted)) >= 4, 10_000)
+        sim.advance_until(
+            lambda s: len(s.events_of(FrameStarted)) >= 4, 10_000, policy="off")
         assert atk.tec == 24  # 3 destroyed attempts
 
     def test_receiver_rec_increments(self):
         sim, (atk, obs) = make_bus("atk", "obs")
         sim.add_node(DominantInjector())
         atk.send(CanFrame(0x173, bytes(8)))
-        sim.run_until(lambda s: len(s.events_of(FrameStarted)) >= 4, 10_000)
+        sim.advance_until(
+            lambda s: len(s.events_of(FrameStarted)) >= 4, 10_000, policy="off")
         assert obs.rec >= 3
 
     def test_active_retransmission_spacing_35_bits(self):
@@ -235,7 +237,7 @@ class TestErrorSignalling:
         sim, (atk, obs) = make_bus("atk", "obs")
         sim.add_node(DominantInjector())
         atk.send(CanFrame(0x173, bytes(8)))
-        sim.run(400)
+        sim.advance(400)
         starts = [e.time for e in sim.events_of(FrameStarted)]
         assert len(starts) >= 3
         gaps = {b - a for a, b in zip(starts, starts[1:])}
@@ -245,7 +247,7 @@ class TestErrorSignalling:
         sim, (atk, obs) = make_bus("atk", "obs")
         sim.add_node(DominantInjector())
         atk.send(CanFrame(0x173, bytes(8)))
-        sim.run_until(lambda s: atk.is_bus_off, 5_000)
+        sim.advance_until(lambda s: atk.is_bus_off, 5_000, policy="off")
         assert atk.is_bus_off
         starts = sim.events_of(FrameStarted)
         boff = sim.events_of(BusOffEntered)[0]
@@ -258,7 +260,7 @@ class TestErrorSignalling:
         sim, (atk, obs) = make_bus("atk", "obs")
         sim.add_node(DominantInjector())
         atk.send(CanFrame(0x173, bytes(8)))
-        sim.run_until(lambda s: atk.is_bus_off, 5_000)
+        sim.advance_until(lambda s: atk.is_bus_off, 5_000, policy="off")
         start = sim.events_of(FrameStarted)[0].time
         boff = sim.events_of(BusOffEntered)[0].time
         busoff_bits = boff + 14 - start  # + final passive error frame
@@ -271,11 +273,12 @@ class TestBusOffRecovery:
         injector = DominantInjector()
         sim.add_node(injector)
         atk.send(CanFrame(0x173, bytes(8)))
-        sim.run_until(lambda s: atk.is_bus_off, 5_000)
+        sim.advance_until(lambda s: atk.is_bus_off, 5_000, policy="off")
         boff_time = sim.events_of(BusOffEntered)[0].time
         # Silence the injector so the bus goes idle.
         injector.window = (-1, -2)
-        sim.run_until(lambda s: bool(s.events_of(BusOffRecovered)), 3_000)
+        sim.advance_until(
+            lambda s: bool(s.events_of(BusOffRecovered)), 3_000, policy="off")
         rec = sim.events_of(BusOffRecovered)
         assert rec, "node must recover"
         assert rec[0].time - boff_time >= 128 * 11
@@ -286,7 +289,7 @@ class TestBusOffRecovery:
         atk = sim.add_node(CanNode("atk", auto_recover=False))
         sim.add_node(DominantInjector())
         atk.send(CanFrame(0x173, bytes(8)))
-        sim.run(8_000)
+        sim.advance(8_000)
         assert atk.is_bus_off
         assert not sim.events_of(BusOffRecovered)
 
@@ -298,7 +301,7 @@ class TestSuspendTransmission:
         sim, (atk, obs) = make_bus("atk", "obs")
         sim.add_node(DominantInjector())
         atk.send(CanFrame(0x173, bytes(8)))
-        sim.run_until(lambda s: atk.is_bus_off, 5_000)
+        sim.advance_until(lambda s: atk.is_bus_off, 5_000, policy="off")
         starts = [e.time for e in sim.events_of(FrameStarted)]
         gaps = [b - a for a, b in zip(starts, starts[1:])]
         active_gaps = gaps[:14]
@@ -313,7 +316,7 @@ class TestPeriodicTraffic:
         sim = CanBusSimulator()
         sim.add_node(CanNode("ecu", scheduler=sched))
         sim.add_node(CanNode("peer"))
-        sim.run(2_000)
+        sim.advance(2_000)
         tx = sim.events_of(FrameTransmitted)
         assert len(tx) == 5
 
@@ -323,7 +326,7 @@ class TestPeriodicTraffic:
             [PeriodicMessage(0x100, period_bits=300)])))
         sim.add_node(CanNode("e2", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x200, period_bits=300)])))
-        sim.run(3_000)
+        sim.advance(3_000)
         tx = sim.events_of(FrameTransmitted)
         ids = {e.frame.can_id for e in tx}
         assert ids == {0x100, 0x200}

@@ -80,7 +80,7 @@ class TestFilteredNode:
         receiver.on_frame_received(lambda t, f: delivered.append(f.can_id))
         sender.send(CanFrame(0x100, b"\x01"))
         sender.send(CanFrame(0x555, b"\x02"))
-        sim.run(600)
+        sim.advance(600)
         assert delivered == [0x100]
         # Both frames were acknowledged and completed on the wire.
         assert len(sim.events_of(FrameReceived)) == 2
@@ -93,5 +93,5 @@ class TestFilteredNode:
         sim.add_node(CanNode(
             "receiver", filters=FilterBank([AcceptanceFilter.exact(0x001)])))
         sender.send(CanFrame(0x7F0))
-        sim.run(300)
+        sim.advance(300)
         assert len(sim.events_of(FrameReceived)) == 1

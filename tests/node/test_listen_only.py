@@ -25,7 +25,7 @@ class TestListenOnly:
             return level
 
         tap.output = spy  # type: ignore[method-assign]
-        sim.run(300)
+        sim.advance(300)
         assert set(levels) == {RECESSIVE}
 
     def test_still_receives_frames(self):
@@ -36,7 +36,7 @@ class TestListenOnly:
         got = []
         tap.on_frame_received(lambda t, f: got.append(f))
         sender.send(CanFrame(0x123, b"\x42"))
-        sim.run(300)
+        sim.advance(300)
         assert got == [CanFrame(0x123, b"\x42")]
 
     def test_does_not_ack(self):
@@ -46,7 +46,7 @@ class TestListenOnly:
         sim.add_node(CanNode("tap", listen_only=True))
         sender = sim.add_node(CanNode("sender"))
         sender.send(CanFrame(0x123))
-        sim.run(500)
+        sim.advance(500)
         assert not sim.events_of(FrameTransmitted)
         errors = {e.error.error_type for e in sim.events_of(ErrorDetected)
                   if e.node == "sender"}
@@ -57,7 +57,7 @@ class TestListenOnly:
         tap = sim.add_node(CanNode("tap", listen_only=True))
         sim.add_node(CanNode("peer"))
         tap.send(CanFrame(0x111))
-        sim.run(500)
+        sim.advance(500)
         assert not sim.events_of(FrameTransmitted)
         assert tap.queue.has_pending  # stuck by design
 

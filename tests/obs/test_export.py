@@ -20,7 +20,7 @@ def fight_summary():
     sim.add_node(MichiCanNode("defender", range(0x100)))
     sim.add_node(DosAttacker("attacker", 0x064))
     probe = BusProbe(sim)
-    sim.run(3_000)
+    sim.advance(3_000)
     return probe.summary()
 
 

@@ -29,7 +29,7 @@ class TestBusProbe:
         sim = quiet_bus()
         probe = BusProbe(sim)
         sim.node("a").send(CanFrame(0x123, b"\x01"))
-        sim.run(300)
+        sim.advance(300)
         summary = probe.summary()
         assert summary.nodes["a"]["frames_tx"] == 1
         assert summary.nodes["b"]["frames_rx"] == 1
@@ -41,7 +41,7 @@ class TestBusProbe:
         probe = BusProbe(sim)
         sim.node("a").send(CanFrame(0x100))
         sim.node("b").send(CanFrame(0x200))  # lower priority loses
-        sim.run(500)
+        sim.advance(500)
         summary = probe.summary()
         assert summary.nodes["b"]["arbitration_losses"] == 1
         assert summary.nodes["b"]["frames_tx"] == 1  # retried and won later
@@ -49,7 +49,7 @@ class TestBusProbe:
     def test_fight_metrics(self):
         sim = fight_bus()
         probe = BusProbe(sim)
-        sim.run(5_000)
+        sim.advance(5_000)
         summary = probe.summary()
         attacker = summary.nodes["attacker"]
         defender = summary.nodes["defender"]
@@ -69,7 +69,7 @@ class TestBusProbe:
         sim = quiet_bus()
         probe = BusProbe(sim)
         sim.node("a").send(CanFrame(0x123))
-        sim.run(300)
+        sim.advance(300)
         bus = probe.bus_metrics()
         assert bus["total_bits"] == 300
         assert 0 < bus["dominant_fraction"] < 1
@@ -82,7 +82,7 @@ class TestBusProbe:
         probe.close()
         probe.close()  # idempotent
         sim.node("a").send(CanFrame(0x123))
-        sim.run(300)
+        sim.advance(300)
         assert probe.summary().events == 0
 
     def test_shared_registry(self):
@@ -92,7 +92,7 @@ class TestBusProbe:
         registry = MetricsRegistry()
         probe = BusProbe(sim, registry=registry)
         sim.node("a").send(CanFrame(0x123))
-        sim.run(300)
+        sim.advance(300)
         assert probe.registry is registry
         assert registry.get("frames_tx", node="a").value == 1
 
@@ -101,7 +101,7 @@ class TestMetricsSummary:
     def test_round_trip(self):
         sim = fight_bus()
         probe = BusProbe(sim)
-        sim.run(3_000)
+        sim.advance(3_000)
         summary = probe.summary()
         clone = MetricsSummary.from_dict(summary.to_dict())
         assert clone.to_dict() == summary.to_dict()
@@ -111,7 +111,7 @@ class TestMetricsSummary:
 
         sim = fight_bus()
         probe = BusProbe(sim)
-        sim.run(3_000)
+        sim.advance(3_000)
         data = json.loads(json.dumps(probe.summary().to_dict()))
         assert MetricsSummary.from_dict(data).to_dict() == \
             probe.summary().to_dict()
@@ -128,7 +128,7 @@ class TestMetricsSummary:
     def test_render_mentions_nodes(self):
         sim = fight_bus()
         probe = BusProbe(sim)
-        sim.run(3_000)
+        sim.advance(3_000)
         text = probe.summary().render()
         assert "attacker" in text and "defender" in text
         assert "detection latency" in text
@@ -136,7 +136,7 @@ class TestMetricsSummary:
     def test_aggregate(self):
         sim = fight_bus()
         probe = BusProbe(sim)
-        sim.run(3_000)
+        sim.advance(3_000)
         summary = probe.summary()
         totals = MetricsSummary.aggregate([summary, summary])
         assert totals["runs"] == 2
@@ -158,7 +158,7 @@ class TestSnapshotPayload:
     def test_snapshot_shape(self):
         sim = fight_bus()
         probe = BusProbe(sim)
-        sim.run(2_000)
+        sim.advance(2_000)
         snapshot = probe.snapshot()
         assert snapshot["time"] == 2_000
         assert snapshot["events"] == len(sim.events)

@@ -32,12 +32,12 @@ class TestProfileRun:
         sim = busy_bus()
         profile_run(sim, 100)
         assert "step" not in sim.__dict__
-        sim.run(100)  # fast path again
+        sim.advance(100)  # fast path again
         assert sim.time == 200
 
     def test_profiled_run_matches_unprofiled(self):
         fast = busy_bus()
-        fast.run(400)
+        fast.advance(400)
         profiled = busy_bus()
         profile_run(profiled, 400)
         assert profiled.wire.history == fast.wire.history

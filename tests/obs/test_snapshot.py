@@ -30,14 +30,14 @@ class TestSnapshotRecorder:
     def test_samples_every_n_bits(self):
         sim, probe = probed_fight()
         recorder = sim.add_node(SnapshotRecorder(probe, every_bits=500))
-        sim.run(2_600)
+        sim.advance(2_600)
         assert [snap["time"] for snap in recorder.snapshots] == \
             [500, 1000, 1500, 2000, 2500]
 
     def test_counters_monotone_across_snapshots(self):
         sim, probe = probed_fight()
         recorder = sim.add_node(SnapshotRecorder(probe, every_bits=400))
-        sim.run(4_000)
+        sim.advance(4_000)
         errors = [snap["nodes"]["attacker"]["errors"]
                   for snap in recorder.snapshots]
         assert errors == sorted(errors)
@@ -45,10 +45,10 @@ class TestSnapshotRecorder:
 
     def test_recorder_is_electrically_invisible(self):
         bare_sim, _ = probed_fight()
-        bare_sim.run(2_000)
+        bare_sim.advance(2_000)
         sim, probe = probed_fight()
         sim.add_node(SnapshotRecorder(probe, every_bits=250))
-        sim.run(2_000)
+        sim.advance(2_000)
         assert sim.wire.history == bare_sim.wire.history
         assert len(sim.events) == len(bare_sim.events)
 
@@ -60,7 +60,7 @@ class TestSnapshotRecorder:
     def test_manual_capture(self):
         sim, probe = probed_fight()
         recorder = SnapshotRecorder(probe, every_bits=10_000)
-        sim.run(300)
+        sim.advance(300)
         snapshot = recorder.capture()
         assert snapshot["time"] == 300
         assert recorder.snapshots == [snapshot]
@@ -70,7 +70,7 @@ class TestSnapshotJsonl:
     def _timeline(self):
         sim, probe = probed_fight()
         recorder = sim.add_node(SnapshotRecorder(probe, every_bits=500))
-        sim.run(2_000)
+        sim.advance(2_000)
         return recorder.snapshots
 
     def test_round_trip(self, tmp_path):

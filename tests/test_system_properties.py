@@ -53,7 +53,7 @@ class TestCleanBusInvariants:
                                  payload_fn=lambda n, d=dlc: bytes(d),
                                  limit=3)])))
         sim.add_node(CanNode("listener"))
-        sim.run(3 * 2_000 + 2_000)
+        sim.advance(3 * 2_000 + 2_000)
         tx = sim.events_of(FrameTransmitted)
         assert len(tx) == 3 * len(workload)
         assert not sim.events_of(ErrorDetected)
@@ -71,7 +71,7 @@ class TestCleanBusInvariants:
                                  payload_fn=lambda n, d=dlc: bytes(d),
                                  limit=2)])))
         sim.add_node(CanNode("listener"))
-        sim.run(8_000)
+        sim.advance(8_000)
         assert decoded_frames(sim.wire.history) == [
             e.frame for e in sim.events_of(FrameTransmitted)
         ]
@@ -84,7 +84,7 @@ class TestCleanBusInvariants:
         for index, frame in enumerate(frames):
             node = sim.add_node(CanNode(f"n{index}"))
             node.send(frame)
-        sim.run(400 * len(frames))
+        sim.advance(400 * len(frames))
         tx_ids = [e.frame.can_id for e in sim.events_of(FrameTransmitted)]
         assert tx_ids == sorted(f.can_id for f in frames)
 
@@ -97,7 +97,7 @@ class TestCleanBusInvariants:
         listeners = [sim.add_node(CanNode(f"l{i}")) for i in range(2)]
         for frame in frames:
             sender.send(frame)
-        sim.run(400 * len(frames))
+        sim.advance(400 * len(frames))
         for listener in listeners:
             seen = [e.frame for e in sim.events_of(FrameReceived)
                     if e.node == listener.name]
@@ -116,7 +116,8 @@ class TestDefendedBusInvariants:
         defender = sim.add_node(MichiCanNode("defender", range(0x100)))
         attacker = sim.add_node(CanNode("attacker"))
         attacker.send(CanFrame(attack_id, bytes(dlc)))
-        hit = sim.run_until(lambda s: attacker.is_bus_off, 10_000)
+        hit = sim.advance_until(
+            lambda s: attacker.is_bus_off, 10_000, policy="off")
         assert hit is not None
         boff = sim.events_of(BusOffEntered)[0]
         attempts = [e for e in sim.events
@@ -136,7 +137,7 @@ class TestDefendedBusInvariants:
         sim.add_node(CanNode("sender", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x123, period_bits=500)])))
         sim.add_node(CanNode("receiver"))
-        sim.run(40_000)
+        sim.advance(40_000)
         assert not sim.events_of(BusOffEntered)
 
     def test_long_mixed_run_reaches_quiescence(self):
@@ -150,7 +151,7 @@ class TestDefendedBusInvariants:
             [PeriodicMessage(0x300, period_bits=2_000)])))
         attacker = sim.add_node(CanNode("attacker", auto_recover=False))
         attacker.send(CanFrame(0x010, bytes(8)))
-        sim.run(60_000)
+        sim.advance(60_000)
         assert attacker.is_bus_off
         live_states = {
             ControllerState.IDLE, ControllerState.RECEIVING,

@@ -31,7 +31,7 @@ class TestCleanDecoding:
         sim.add_node(a), sim.add_node(b)
         frame = CanFrame(0x2A5, b"\xDE\xAD\xBE\xEF")
         a.send(frame)
-        sim.run(300)
+        sim.advance(300)
         assert decoded_frames(sim.wire.history) == [frame]
 
     def test_extended_and_remote_frames(self):
@@ -42,7 +42,7 @@ class TestCleanDecoding:
         rtr = CanFrame(0x321, remote=True, remote_dlc=3)
         a.send(ext)
         a.send(rtr)
-        sim.run(600)
+        sim.advance(600)
         assert decoded_frames(sim.wire.history) == [rtr, ext]
 
     def test_empty_capture(self):
@@ -58,7 +58,7 @@ class TestCleanDecoding:
         sim.add_node(CanNode("listener"))
         for sender, frame in zip(senders, frames):
             sender.send(frame)
-        sim.run(400 * len(frames))
+        sim.advance(400 * len(frames))
         from_events = [e.frame for e in sim.events_of(FrameTransmitted)]
         from_wire = decoded_frames(sim.wire.history)
         assert from_wire == from_events
@@ -69,7 +69,7 @@ class TestAttackDecoding:
         sim = CanBusSimulator(bus_speed=50_000)
         sim.add_node(MichiCanNode("defender", range(0x100)))
         attacker = sim.add_node(DosAttacker("attacker", 0x064))
-        sim.run(2_600)
+        sim.advance(2_600)
         entries = decode_wire(sim.wire.history)
         errors = [e for e in entries if e.kind is DecodedKind.ERROR_FRAME]
         # All 32 destroyed attempts appear as error-frame entries.
@@ -83,7 +83,7 @@ class TestAttackDecoding:
         sim = CanBusSimulator(bus_speed=50_000)
         sim.add_node(MichiCanNode("defender", range(0x100)))
         attacker = sim.add_node(DosAttacker("attacker", 0x064))
-        sim.run(600)
+        sim.advance(600)
         errors = [e for e in decode_wire(sim.wire.history)
                   if e.kind is DecodedKind.ERROR_FRAME]
         for entry in errors[:10]:
@@ -96,7 +96,7 @@ class TestAttackDecoding:
         sim.add_node(CanNode("benign", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x700, period_bits=700)])))
         sim.add_node(DosAttacker("attacker", 0x064))
-        sim.run(12_000)
+        sim.advance(12_000)
         from_wire = decoded_frames(sim.wire.history)
         from_events = [e.frame for e in sim.events_of(FrameTransmitted)]
         assert from_wire == from_events
@@ -107,6 +107,6 @@ class TestAttackDecoding:
         a, b = CanNode("a"), CanNode("b")
         sim.add_node(a), sim.add_node(b)
         a.send(CanFrame(0x123, bytes(8)))
-        sim.run(40)  # stop mid-frame
+        sim.advance(40)  # stop mid-frame
         entries = decode_wire(sim.wire.history)
         assert entries[-1].kind is DecodedKind.TRUNCATED

@@ -14,7 +14,7 @@ def attacked_bus(duration=30_000):
     sim = CanBusSimulator(bus_speed=50_000)
     defender = sim.add_node(MichiCanNode("defender", range(0x100)))
     attacker = sim.add_node(DosAttacker("attacker", 0x064))
-    sim.run(duration)
+    sim.advance(duration)
     return sim, defender, attacker
 
 
@@ -58,7 +58,7 @@ class TestEpisodes:
         sim.add_node(CanNode("benign", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x700, period_bits=300)])))
         sim.add_node(DosAttacker("attacker", 0x064))
-        sim.run(4_000)
+        sim.advance(4_000)
         episodes = FrameLog(sim.events).busoff_episodes("attacker")
         assert episodes
         assert episodes[0].interruptions >= 1
@@ -90,7 +90,7 @@ class TestThroughput:
         sender = sim.add_node(CanNode("s", scheduler=PeriodicScheduler(
             [PeriodicMessage(0x123, period_bits=500)])))
         sim.add_node(CanNode("r"))
-        sim.run(3_000)
+        sim.advance(3_000)
         log = FrameLog(sim.events)
         completed = log.completed_frames("s")
         assert len(completed) == 6

@@ -15,7 +15,7 @@ def attacked_sim(duration=2_600):
     sim = CanBusSimulator(bus_speed=50_000)
     sim.add_node(MichiCanNode("defender", range(0x100)))
     sim.add_node(DosAttacker("attacker", 0x064))
-    sim.run(duration)
+    sim.advance(duration)
     return sim
 
 

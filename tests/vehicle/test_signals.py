@@ -35,7 +35,7 @@ class TestSignalMonitor:
         receiver.on_frame_received(monitor.on_frame)
         payload = encode_message(message, {"front_0": 150.0, "front_1": 88.0})
         sender.send(CanFrame(0x264, payload))
-        sim.run(300)
+        sim.advance(300)
         assert monitor.value(0x264, "front_0") == pytest.approx(150.0)
         assert monitor.violations == []
 
@@ -52,7 +52,7 @@ class TestSignalMonitor:
         receiver.on_frame_received(monitor.on_frame)
         payload = encode_message(message, {"front_0": 400.0})
         sender.send(CanFrame(0x264, payload))
-        sim.run(300)
+        sim.advance(300)
         assert len(seen) == 1
         assert seen[0].value == pytest.approx(400.0)
 
@@ -116,6 +116,6 @@ class TestParksenseSignals:
             SignalWatch(0x264, "front_0", minimum=0, maximum=510),
         ])
         receiver.on_frame_received(monitor.on_frame)
-        sim.run(3_000)
+        sim.advance(3_000)
         assert monitor.value(0x264, "front_0") is not None
         assert monitor.violations == []

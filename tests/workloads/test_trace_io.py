@@ -98,7 +98,7 @@ class TestReplayAndExport:
         replay = sim.add_node(LogReplayNode(
             "replay", records, 500_000, time_scale=0.001))
         sim.add_node(CanNode("listener"))
-        sim.run(5_000)
+        sim.advance(5_000)
         assert replay.replay_finished
         received = [e.frame for e in sim.events_of(FrameReceived)]
         assert received == [r.frame for r in records]
@@ -111,7 +111,7 @@ class TestReplayAndExport:
         sim = CanBusSimulator(bus_speed=500_000)
         sim.add_node(LogReplayNode("replay", records, 500_000))
         sim.add_node(CanNode("listener"))
-        sim.run(8_000)
+        sim.advance(8_000)
         tx = sim.events_of(FrameTransmitted)
         assert len(tx) == 2
         gap = tx[1].started_at - tx[0].started_at
@@ -123,7 +123,7 @@ class TestReplayAndExport:
         sim.add_node(CanNode("b"))
         a.send(CanFrame(0x123, b"\xAB"))
         a.send(CanFrame(0x18DAF110, b"\xCD", extended=True))
-        sim.run(600)
+        sim.advance(600)
         log = export_simulation(sim.events, 500_000)
         records = parse_candump(log)
         assert [r.frame for r in records] == [

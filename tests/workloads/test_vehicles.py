@@ -97,7 +97,7 @@ class TestWorkloadBridging:
         sim = CanBusSimulator(bus_speed=500_000)
         for node in nodes_for_matrix(matrix, 500_000):
             sim.add_node(node)
-        sim.run(30_000)
+        sim.advance(30_000)
         tx_ids = {e.frame.can_id for e in sim.events_of(FrameTransmitted)}
         assert tx_ids  # traffic flows
         assert tx_ids <= set(matrix.all_ids())
@@ -108,7 +108,7 @@ class TestWorkloadBridging:
         sim = CanBusSimulator(bus_speed=500_000)
         sim.add_node(RestbusNode("restbus", matrix, 500_000))
         sim.add_node(CanNode("listener"))
-        sim.run(600_000)
+        sim.advance(600_000)
         tx_ids = {e.frame.can_id for e in sim.events_of(FrameTransmitted)}
         assert tx_ids == set(m.can_id for m in matrix.periodic_messages())
 
@@ -120,7 +120,7 @@ class TestWorkloadBridging:
             sim.add_node(RestbusNode("restbus", matrix, 500_000,
                                      time_scale=scale))
             sim.add_node(CanNode("listener"))
-            sim.run(200_000)
+            sim.advance(200_000)
             return len(sim.events_of(FrameTransmitted))
 
         assert frames_with_scale(4.0) < frames_with_scale(1.0)
