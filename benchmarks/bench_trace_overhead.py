@@ -80,7 +80,7 @@ def _measure_interleaved(rounds, duration_bits):
 
 def test_trace_overhead(benchmark, quick):
     duration = 10_000 if quick else 100_000
-    rounds = 1 if quick else ROUNDS
+    rounds = ROUNDS  # quick mode too: one 10k-bit round is noise-bound
 
     # Shared warmup: every configuration is timed against hot caches.
     _run_once(min(duration, 20_000), traced=True)

@@ -1526,68 +1526,106 @@ def summarize_source(source: str, path: str) -> FileSummary:
 # --------------------------------------------------------------------- cache
 
 
+def _read_json(path: str) -> Any:
+    """The parsed JSON document at ``path``; ``None`` when unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError):
+        return None
+
+
+def _write_atomic(path: str, payload: str) -> bool:
+    """Write ``payload`` via tmp file + rename; ``False`` on failure."""
+    directory = os.path.dirname(path) or "."
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_path = tempfile.mkstemp(
+            dir=directory, prefix=".lint-cache-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+            os.replace(tmp_path, path)
+        finally:
+            if os.path.exists(tmp_path):
+                try:
+                    os.unlink(tmp_path)
+                except OSError:
+                    pass
+    except OSError:
+        return False
+    return True
+
+
 class AnalysisCache:
     """Mtime-keyed on-disk cache for file summaries and lint findings.
 
     One JSON document maps absolute file paths to ``(mtime_ns, size)``
     validated entries holding the parsed :class:`FileSummary` and, per
-    rule-set key, the per-file lint findings.  The cache is strictly
-    advisory: unreadable, corrupted, stale or version-skewed content is
-    discarded silently (a cold run), and a failed write never raises.
+    rule-set key, the per-file lint findings.  A sibling file
+    (:attr:`manifest_path`) memoizes the latest purity manifest under
+    its content key (:func:`repro.analysis.purity.build_purity_manifest`).
+    The cache is strictly advisory: unreadable, corrupted, stale or
+    version-skewed content is discarded silently (a cold run), and a
+    failed write never raises.  The document is read on first use, so a
+    memo hit never parses it.
     """
 
     def __init__(self, path: str = DEFAULT_CACHE_PATH) -> None:
         self.path = path
-        self._files: Dict[str, Dict[str, Any]] = {}
+        #: The manifest memo, named after (and scoped to) this cache file.
+        self.manifest_path = path + ".manifest"
+        self._loaded: Optional[Dict[str, Dict[str, Any]]] = None
         self._dirty = False
+        self._memo: Optional[Dict[str, Any]] = None
         self.hits = 0
         self.misses = 0
-        self._load()
 
     # ----------------------------------------------------------- load/save
 
-    def _load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return
+    @property
+    def _files(self) -> Dict[str, Dict[str, Any]]:
+        if self._loaded is None:
+            self._loaded = self._load()
+        return self._loaded
+
+    def _load(self) -> Dict[str, Dict[str, Any]]:
+        data = _read_json(self.path)
         if not isinstance(data, dict) \
                 or data.get("schema_version") != CACHE_SCHEMA_VERSION:
-            return
+            return {}
         files = data.get("files")
-        if isinstance(files, dict):
-            self._files = {
-                str(path): entry for path, entry in files.items()
-                if isinstance(entry, dict)
-            }
+        if not isinstance(files, dict):
+            return {}
+        return {str(path): entry for path, entry in files.items()
+                if isinstance(entry, dict)}
 
     def save(self) -> None:
-        """Atomically persist the cache (tmp file + rename); best-effort."""
-        if not self._dirty:
-            return
-        payload = json.dumps({
-            "schema_version": CACHE_SCHEMA_VERSION,
-            "files": self._files,
-        }, sort_keys=True)
-        directory = os.path.dirname(self.path) or "."
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                dir=directory, prefix=".lint-cache-", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                os.replace(tmp_path, self.path)
-            finally:
-                if os.path.exists(tmp_path):
-                    try:
-                        os.unlink(tmp_path)
-                    except OSError:
-                        pass
-        except OSError:
-            return
-        self._dirty = False
+        """Atomically persist the cache and any pending manifest memo
+        (tmp file + rename); best-effort."""
+        if self._dirty and _write_atomic(self.path, json.dumps({
+                "schema_version": CACHE_SCHEMA_VERSION,
+                "files": self._files,
+        }, sort_keys=True)):
+            self._dirty = False
+        if self._memo is not None and _write_atomic(
+                self.manifest_path, json.dumps(self._memo, sort_keys=True)):
+            self._memo = None
+
+    # -------------------------------------------------------- manifest memo
+
+    def get_manifest(self, key: str) -> Optional[Dict[str, Any]]:
+        """The manifest document memoized under ``key``, or ``None``."""
+        data = _read_json(self.manifest_path)
+        if not isinstance(data, dict) or data.get("key") != key \
+                or not isinstance(data.get("manifest"), dict):
+            return None
+        return data["manifest"]
+
+    def put_manifest(self, key: str, manifest: Dict[str, Any]) -> None:
+        """Memoize ``manifest`` under ``key`` (replacing the previous
+        entry) on the next :meth:`save`."""
+        self._memo = {"key": key, "manifest": manifest}
 
     # ------------------------------------------------------------- entries
 

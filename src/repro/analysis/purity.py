@@ -40,9 +40,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.callgraph import (
     EFFECT_SCHEMA_VERSION,
@@ -149,15 +150,9 @@ class PurityManifest:
                     pass
 
     @classmethod
-    def load(cls, path: str) -> Optional["PurityManifest"]:
-        """Read a manifest; ``None`` for missing, corrupted or
-        version-skewed files (silent degradation — callers fall back to
-        uncached runs, never crash)."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return None
+    def from_dict(cls, data: Any) -> Optional["PurityManifest"]:
+        """Rebuild a manifest from :meth:`to_dict` output; ``None`` for
+        malformed or version-skewed documents."""
         if not isinstance(data, dict) \
                 or data.get("schema_version") != MANIFEST_SCHEMA_VERSION \
                 or data.get(
@@ -176,6 +171,18 @@ class PurityManifest:
         except (KeyError, TypeError, ValueError):
             return None
         return manifest
+
+    @classmethod
+    def load(cls, path: str) -> Optional["PurityManifest"]:
+        """Read a manifest; ``None`` for missing, corrupted or
+        version-skewed files (silent degradation — callers fall back to
+        uncached runs, never crash)."""
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except (OSError, ValueError):
+            return None
+        return cls.from_dict(data)
 
 
 # ------------------------------------------------------------------ hashing
@@ -230,6 +237,29 @@ def _machinery_nodes(graph: CallGraph, specs: Sequence[Any]) -> List[NodeKey]:
     return nodes
 
 
+def _registry() -> List[Tuple[str, str, str]]:
+    """``(scenario, factory module, factory qualname)`` per runtime-
+    registered scenario."""
+    from repro.experiments.campaign import scenario_factory, scenario_names
+
+    triples = []
+    for name in scenario_names():
+        factory = scenario_factory(name)
+        triples.append((name, getattr(factory, "__module__", "") or "",
+                        getattr(factory, "__qualname__", "") or ""))
+    return triples
+
+
+def _memo_key(files: Sequence[str],
+              registry: Sequence[Tuple[str, str, str]]) -> str:
+    """Content key of a manifest build: schema versions, the Python
+    version, every project file's cwd-relative path and sha256 (the
+    manifest's paths are cwd-relative too), and the registry."""
+    blob = json.dumps([MANIFEST_SCHEMA_VERSION, list(sys.version_info[:2]),
+                       _combine_hash(_slice_digests(files)), registry])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def build_purity_manifest(files: Sequence[str],
                           cache: Optional[AnalysisCache] = None,
                           ) -> PurityManifest:
@@ -237,24 +267,33 @@ def build_purity_manifest(files: Sequence[str],
 
     ``files`` is expanded to the enclosing project the same way the deep
     lint rules do, so the slice sees callers and callees outside the
-    requested set.
+    requested set.  With a ``cache`` the finished manifest is memoized
+    in it under a content key (:func:`_memo_key`): a build whose sources,
+    registry and analyzer versions all match the memo parses nothing,
+    and any source edit misses (only the edited files then re-parse).
+    Call ``cache.save()`` to persist the memo and the summaries.
     """
     from repro.analysis.lint.deep import expand_project_files
     from repro.analysis.lint.engine import collect_python_files
-    from repro.experiments.campaign import scenario_factory, scenario_names
 
-    project = load_project(
-        expand_project_files(collect_python_files(files)), cache=cache)
+    paths = expand_project_files(collect_python_files(files))
+    registry = _registry()
+    key = ""
+    if cache is not None:
+        key = _memo_key(paths, registry)
+        memo = PurityManifest.from_dict(cache.get_manifest(key))
+        if memo is not None and sorted(memo.scenarios) == [
+                name for name, _, _ in registry]:
+            return memo
+
+    project = load_project(paths, cache=cache)
     graph = CallGraph(project)
     analysis = EffectAnalysis(graph)
     machinery = _machinery_nodes(graph, _MACHINERY_SPECS)
     verdict_machinery = _machinery_nodes(graph, _VERDICT_SPECS)
 
     manifest = PurityManifest()
-    for name in scenario_names():
-        factory = scenario_factory(name)
-        module = getattr(factory, "__module__", "") or ""
-        qualname = getattr(factory, "__qualname__", "") or ""
+    for name, module, qualname in registry:
         label = f"{module}:{qualname}"
         node = _locate_factory(graph, module, qualname)
         if node is None:
@@ -283,4 +322,6 @@ def build_purity_manifest(files: Sequence[str],
             slice_files=digests,
             slice_hash=_combine_hash(digests),
         )
+    if cache is not None:
+        cache.put_manifest(key, manifest.to_dict())
     return manifest

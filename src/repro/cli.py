@@ -341,27 +341,23 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_result_cache(cache_dir: str, manifest_path: Optional[str]) -> Any:
-    """A ready :class:`ResultCache` for ``campaign run --cache``.
+def _build_result_cache(cache_dir: str) -> Any:
+    """A ready :class:`ResultCache` for ``campaign run``/``serve --cache``.
 
-    With ``--manifest`` the stored purity manifest is trusted (silently
-    falling back to a fresh analysis when it is missing, corrupted or
-    version-skewed); otherwise the effect analysis runs over the
-    installed ``repro`` package to certify the registered scenarios.
+    The effect analysis certifies the registered scenarios over the
+    installed ``repro`` package.  Its manifest is memoized in the
+    default analysis cache (the one ``repro lint --deep`` warms), so
+    only the first start after a source edit pays for the analysis.
     """
     import repro
-    from repro.analysis.purity import PurityManifest, build_purity_manifest
+    from repro.analysis.callgraph import DEFAULT_CACHE_PATH, AnalysisCache
+    from repro.analysis.purity import build_purity_manifest
     from repro.experiments.resultcache import ResultCache
 
-    manifest = None
-    if manifest_path:
-        manifest = PurityManifest.load(manifest_path)
-        if manifest is None:
-            print(f"note: purity manifest {manifest_path!r} is missing, "
-                  f"corrupted or stale — re-running the effect analysis",
-                  file=sys.stderr)
-    if manifest is None:
-        manifest = build_purity_manifest([os.path.dirname(repro.__file__)])
+    analysis_cache = AnalysisCache(DEFAULT_CACHE_PATH)
+    manifest = build_purity_manifest([os.path.dirname(repro.__file__)],
+                                     cache=analysis_cache)
+    analysis_cache.save()
     return ResultCache(cache_dir, manifest)
 
 
@@ -522,7 +518,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         from repro.experiments.resultcache import DEFAULT_CACHE_DIR
 
         result_cache = _build_result_cache(
-            args.cache_dir or DEFAULT_CACHE_DIR, args.manifest)
+            args.cache_dir or DEFAULT_CACHE_DIR)
     report = Campaign(
         specs, n_workers=args.workers, timeout_seconds=args.timeout,
         max_retries=args.retries, retry_backoff_seconds=args.backoff,
@@ -592,7 +588,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         from repro.experiments.resultcache import DEFAULT_CACHE_DIR
 
         result_cache = _build_result_cache(
-            args.cache_dir or DEFAULT_CACHE_DIR, args.manifest)
+            args.cache_dir or DEFAULT_CACHE_DIR)
     service = CampaignService(
         args.journal,
         n_workers=args.workers,
@@ -1154,10 +1150,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="result cache directory "
                          "(default: .repro_cache/results)")
-    cp.add_argument("--manifest", default=None, metavar="FILE",
-                    help="trust this purity manifest (from `repro lint "
-                         "--deep --purity-manifest`) instead of "
-                         "re-running the effect analysis")
     cp = campaign_sub.add_parser("show", help="render a stored report")
     cp.add_argument("report")
     cp = campaign_sub.add_parser(
@@ -1232,8 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="result cache directory "
                         "(default: .repro_cache/results)")
-    p.add_argument("--manifest", default=None, metavar="FILE",
-                   help="trust this purity manifest for cache decisions")
 
     p = sub.add_parser("chaos",
                        help="fault-intensity degradation sweep (Sec. IV-E)")
@@ -1330,8 +1320,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "on the project call graph")
     p.add_argument("--purity-manifest", default=None, metavar="FILE",
                    help="with --deep: write the scenario purity manifest "
-                        "(verdicts + transitive slice hashes) consumed by "
-                        "'campaign run --cache'")
+                        "(verdicts + transitive slice hashes), the "
+                        "document 'campaign run --cache' memoizes")
     p.add_argument("--concurrency-report", default=None, metavar="FILE",
                    help="with --deep: write the machine-readable RC4xx "
                         "concurrency report (thread roots, locksets, "

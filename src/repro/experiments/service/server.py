@@ -37,7 +37,7 @@ import asyncio
 import json
 import os
 import signal
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.campaign import ScenarioSpec
@@ -52,6 +52,52 @@ __all__ = ["ServiceServer", "request"]
 #: Refuse request lines larger than this (64 MiB) instead of buffering
 #: unboundedly; a campaign submission of hundreds of specs fits easily.
 MAX_REQUEST_BYTES = 64 * 1024 * 1024
+
+
+#: Replies are sent in slices of about this size, so a multi-megabyte
+#: ``report`` is never held as one string, one bytes copy and a send
+#: buffer at once.
+REPLY_CHUNK_BYTES = 64 * 1024
+
+
+def _json_slices(value: Any, depth: int = 3) -> Iterator[str]:
+    """``json.dumps(value)``, in pieces whose concatenation is byte for
+    byte the one-shot text.  Containers down to ``depth`` are walked and
+    anything deeper (a report's records) is encoded whole, so the
+    encoder's scratch space covers one record, not the whole reply."""
+    if depth and isinstance(value, dict) \
+            and all(isinstance(key, str) for key in value):
+        yield "{"
+        for index, (key, item) in enumerate(value.items()):
+            yield (", " if index else "") + json.dumps(key) + ": "
+            yield from _json_slices(item, depth - 1)
+        yield "}"
+    elif depth and isinstance(value, (list, tuple)):
+        yield "["
+        for index, item in enumerate(value):
+            if index:
+                yield ", "
+            yield from _json_slices(item, depth - 1)
+        yield "]"
+    else:
+        yield json.dumps(value)
+
+
+async def _write_reply(writer: asyncio.StreamWriter,
+                       response: Dict[str, Any]) -> None:
+    """Send ``response`` as one JSON line, a slice at a time."""
+    pending: List[str] = []
+    size = 0
+    for piece in _json_slices(response):
+        pending.append(piece)
+        size += len(piece)
+        if size >= REPLY_CHUNK_BYTES:
+            writer.write("".join(pending).encode("utf-8"))
+            await writer.drain()
+            pending, size = [], 0
+    pending.append("\n")
+    writer.write("".join(pending).encode("utf-8"))
+    await writer.drain()
 
 
 class ServiceServer:
@@ -111,11 +157,9 @@ class ServiceServer:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    response: Dict[str, Any] = {
+                    await _write_reply(writer, {
                         "ok": False, "kind": "bad-request",
-                        "error": "request line too large"}
-                    writer.write(json.dumps(response).encode() + b"\n")
-                    await writer.drain()
+                        "error": "request line too large"})
                     break
                 if not line:
                     break
@@ -124,16 +168,16 @@ class ServiceServer:
                     if not isinstance(payload, dict):
                         raise ValueError("request must be a JSON object")
                 except ValueError as exc:
-                    response = {"ok": False, "kind": "bad-request",
-                                "error": f"undecodable request: {exc}"}
+                    response: Dict[str, Any] = {
+                        "ok": False, "kind": "bad-request",
+                        "error": f"undecodable request: {exc}"}
                 else:
                     try:
                         response = self.handle_request(payload)
                     except ReproError as exc:  # defensive catch-all
                         response = {"ok": False, "kind": "internal",
                                     "error": str(exc)}
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
-                await writer.drain()
+                await _write_reply(writer, response)
         except (ConnectionError, BrokenPipeError):
             pass  # client went away mid-reply; nothing to salvage
         finally:

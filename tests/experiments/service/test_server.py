@@ -1,5 +1,6 @@
 """Socket front end: request dispatch, structured refusals, drain."""
 
+import asyncio
 import json
 import os
 import signal
@@ -11,7 +12,13 @@ import time
 import pytest
 
 from repro.experiments.campaign import ScenarioSpec
-from repro.experiments.service.server import ServiceServer, request
+from repro.experiments.service.server import (
+    REPLY_CHUNK_BYTES,
+    ServiceServer,
+    _json_slices,
+    _write_reply,
+    request,
+)
 from repro.experiments.service.service import CampaignService
 
 
@@ -84,6 +91,39 @@ def test_drain_op_flips_the_service_and_sets_shutdown(server):
     response = server.handle_request({"op": "drain"})
     assert response == {"ok": True, "draining": True}
     assert server.service.draining
+
+
+def test_reply_slices_concatenate_to_the_one_shot_encoding():
+    """Replies are streamed in slices; the line on the wire must still be
+    exactly ``json.dumps(response)``, however the values nest."""
+    record = {"spec": {"scenario": "exp4", "params": {"ids": [1, 2]}},
+              "result": {"tec": 0.5, "label": "\u00e9\u2028", "none": None,
+                         "nested": [[], {}, (1, 2)]}}
+    response = {"ok": True, "report": {"records": [record] * 3,
+                                       "failures": [], "n_workers": 1,
+                                       "meta": {1: "int key", "t": (3,)}}}
+    assert "".join(_json_slices(response)) == json.dumps(response)
+    assert "".join(_json_slices([])) == "[]"
+
+
+def test_a_large_reply_goes_out_in_bounded_writes():
+    class Writer:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(data)
+
+        async def drain(self):
+            pass
+
+    response = {"ok": True, "report": {
+        "records": [{"blob": "x" * 10_000, "n": n} for n in range(40)]}}
+    writer = Writer()
+    asyncio.run(_write_reply(writer, response))
+    assert b"".join(writer.writes) == (json.dumps(response) + "\n").encode()
+    assert len(writer.writes) > 1
+    assert max(map(len, writer.writes)) < REPLY_CHUNK_BYTES + 20_000
 
 
 # ------------------------------------------------------- live socket runs

@@ -2,9 +2,12 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
+import repro
+from repro.analysis.callgraph import DEFAULT_CACHE_PATH, AnalysisCache
 from repro.analysis.purity import (
     PurityManifest,
     ScenarioPurity,
@@ -214,6 +217,9 @@ class TestDegradation:
 
 
 class TestCli:
+    _ARGV = ["campaign", "run", "--scenario", "exp4", "--duration", "2000",
+             "--no-metrics", "--cache", "--cache-dir", "rc"]
+
     def test_cache_flags_are_mutually_exclusive(self, capsys):
         from repro.cli import main
 
@@ -221,35 +227,179 @@ class TestCli:
                      "--duration", "1000", "--cache", "--no-cache"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
-    def test_cold_then_warm_run_via_the_cli(self, tmp_path, capsys):
+    @pytest.fixture(scope="class")
+    def cli_dir(self, tmp_path_factory):
+        """A cwd in which one cold ``campaign run --cache`` wrote the
+        default analysis cache, its manifest memo and one result."""
         from repro.cli import main
 
-        manifest_path = str(tmp_path / "purity.json")
-        assert main(["lint", "--no-cache", "--deep", "--purity-manifest",
-                     manifest_path, "src/repro"]) == 0
+        root = tmp_path_factory.mktemp("cli")
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            assert main(self._ARGV + ["--out", "cold.json"]) == 0
+        finally:
+            os.chdir(cwd)
+        return root
+
+    def test_cold_then_warm_run_via_the_cli(self, cli_dir, monkeypatch,
+                                            capsys):
+        """The warm run replays from the memo (no file is parsed) and
+        from the result cache, byte-identical to the cold run."""
+        from repro.analysis import purity
+        from repro.cli import main
+        from repro.experiments.store import load_report
+
+        monkeypatch.chdir(cli_dir)
+        assert os.path.isfile(DEFAULT_CACHE_PATH + ".manifest")
+        calls = []
+        monkeypatch.setattr(purity, "load_project",
+                            lambda *a, **k: calls.append(a))
         capsys.readouterr()
-        argv = ["campaign", "run", "--scenario", "exp4",
-                "--duration", "2000", "--no-metrics", "--cache",
-                "--cache-dir", str(tmp_path / "rc"),
-                "--manifest", manifest_path]
-        assert main(argv) == 0
-        cold_out = capsys.readouterr().out
-        assert "result cache: 0 hit(s)" in cold_out
-        assert main(argv) == 0
+        assert main(self._ARGV + ["--out", "warm.json"]) == 0
         warm_out = capsys.readouterr().out
+        assert calls == []
         assert "result cache: 1 of 1 record(s)" in warm_out
         assert "(cached)" in warm_out
+        assert _records_json(load_report("cold.json")) \
+            == _records_json(load_report("warm.json"))
 
-    def test_stale_manifest_degrades_to_a_fresh_analysis(self, tmp_path,
-                                                         capsys):
+    def test_corrupt_memo_degrades_to_a_fresh_analysis(self, cli_dir,
+                                                       monkeypatch, capsys):
         from repro.cli import main
 
-        manifest_path = tmp_path / "stale.json"
-        manifest_path.write_text("{ not a manifest", encoding="utf-8")
-        assert main(["campaign", "run", "--scenario", "exp4",
-                     "--duration", "2000", "--no-metrics", "--cache",
-                     "--cache-dir", str(tmp_path / "rc"),
-                     "--manifest", str(manifest_path)]) == 0
+        monkeypatch.chdir(cli_dir)
+        memo = DEFAULT_CACHE_PATH + ".manifest"
+        with open(memo, "w", encoding="utf-8") as handle:
+            handle.write("{ not a memo")
+        capsys.readouterr()
+        assert main(self._ARGV) == 0
         captured = capsys.readouterr()
-        assert "re-running the effect analysis" in captured.err
-        assert "1 stored" in captured.out
+        assert captured.err == ""
+        assert "result cache: 1 of 1 record(s)" in captured.out
+        with open(memo, encoding="utf-8") as handle:
+            assert json.load(handle)["manifest"]["scenarios"]
+
+
+class TestManifestMemo:
+    """``build_purity_manifest`` memoizes its result in the analysis
+    cache it is given, keyed on the content of the analysed sources.
+
+    Every test runs in a temp cwd holding a copy of the package, so the
+    repo's own ``.repro_cache`` is never written.
+    """
+
+    CACHE = os.path.join(".repro_cache", "lint.json")
+    SLICE_FILE = os.path.join("repro", "experiments", "scenarios.py")
+
+    @pytest.fixture(scope="class")
+    def tree(self, tmp_path_factory):
+        """(root, cold manifest JSON): one cold build of a package copy."""
+        root = tmp_path_factory.mktemp("memo")
+        shutil.copytree(os.path.dirname(repro.__file__), root / "repro")
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            cache = AnalysisCache(self.CACHE)
+            cold = build_purity_manifest(["repro"], cache=cache)
+            cache.save()
+        finally:
+            os.chdir(cwd)
+        assert os.path.isfile(root / (self.CACHE + ".manifest"))
+        return root, cold.render_json()
+
+    @pytest.fixture
+    def parses(self, tree, monkeypatch):
+        """Run in the tree; returns the list of ``load_project`` calls."""
+        from repro.analysis import purity
+
+        monkeypatch.chdir(tree[0])
+        calls = []
+        real = purity.load_project
+
+        def counting(files, cache=None):
+            calls.append(len(files))
+            return real(files, cache=cache)
+
+        monkeypatch.setattr(purity, "load_project", counting)
+        return calls
+
+    def _build(self, path=None):
+        cache = AnalysisCache(path or self.CACHE)
+        manifest = build_purity_manifest(["repro"], cache=cache)
+        cache.save()
+        return manifest, cache
+
+    def test_memo_hit_is_byte_identical_to_the_fresh_build(self, tree,
+                                                           parses):
+        hit, cache = self._build()
+        assert parses == []
+        assert cache.hits == cache.misses == 0
+        assert hit.render_json() == tree[1]
+
+    def test_one_byte_edit_misses_and_moves_the_slice_hash(self, tree,
+                                                           parses):
+        before = PurityManifest.from_dict(json.loads(tree[1]))
+        with open(self.SLICE_FILE, "rb") as handle:
+            original = handle.read()
+        try:
+            with open(self.SLICE_FILE, "wb") as handle:
+                handle.write(original + b"#")
+            edited, cache = self._build()
+            assert len(parses) == 1
+            assert cache.misses == 1  # only the edited file re-parses
+            assert edited.slice_hash("exp4") != before.slice_hash("exp4")
+        finally:
+            with open(self.SLICE_FILE, "wb") as handle:
+                handle.write(original)
+        restored, _ = self._build()
+        assert len(parses) == 2
+        assert restored.render_json() == tree[1]
+
+    @pytest.mark.parametrize("damage", ["corrupt", "truncated", "skewed"])
+    def test_damaged_memo_rebuilds_silently(self, tree, parses, damage):
+        memo = self.CACHE + ".manifest"
+        with open(memo, encoding="utf-8") as handle:
+            text = handle.read()
+        if damage == "corrupt":
+            bad = "{ torn"
+        elif damage == "truncated":
+            bad = text[:len(text) // 2]
+        else:
+            data = json.loads(text)
+            data["manifest"]["schema_version"] += 1
+            bad = json.dumps(data)
+        with open(memo, "w", encoding="utf-8") as handle:
+            handle.write(bad)
+        rebuilt, _ = self._build()
+        assert len(parses) == 1
+        assert rebuilt.render_json() == tree[1]
+        with open(memo, encoding="utf-8") as handle:
+            assert handle.read() == text  # the rebuild re-stored it
+
+    def test_registry_change_misses(self, tree, parses, monkeypatch):
+        import repro.experiments.campaign as campaign
+
+        memo = self.CACHE + ".manifest"
+        with open(memo, encoding="utf-8") as handle:
+            text = handle.read()
+        registry = dict(campaign._REGISTRY)
+        registry["exp4"] = registry["exp3"]
+        monkeypatch.setattr(campaign, "_REGISTRY", registry)
+        try:
+            manifest, _ = self._build()
+        finally:
+            with open(memo, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        assert len(parses) == 1
+        assert manifest.scenarios["exp4"].factory \
+            == manifest.scenarios["exp3"].factory
+
+    def test_cache_paths_do_not_share_a_memo(self, tree, parses):
+        other = os.path.join(".repro_cache", "other.json")
+        shutil.copyfile(self.CACHE, other)  # warm summaries, no memo
+        manifest, cache = self._build(other)
+        assert len(parses) == 1
+        assert cache.manifest_path == other + ".manifest"
+        assert os.path.isfile(cache.manifest_path)
+        assert manifest.render_json() == tree[1]
