@@ -1,14 +1,14 @@
-"""Lint cache speedup: cold parse-everything vs warm mtime-validated hits.
+"""Lint cache speedup: cold parse-everything vs warm content-validated hits.
 
 Runs ``lint_paths`` over ``src/`` twice against the same on-disk cache —
 once cold (empty cache: every file is parsed, summarized, and linted) and
-once warm (every entry validates by ``(mtime_ns, size)``; findings are
-replayed from the cache without re-parsing) — and records both wall times
-to ``BENCH_lint.json`` in the repo root.
+once warm (every entry validates by the sha256 of the file's bytes;
+findings are replayed from the cache without re-parsing) — and records
+both wall times to ``BENCH_lint.json`` in the repo root.
 
 The contract this bench enforces: the warm path of ``repro lint`` must be
 at least ``MIN_SPEEDUP``x faster than the cold path, so incremental lint
-runs (and ``--changed`` loops) stay interactive as the tree grows.
+runs stay interactive as the tree grows.
 
 Regenerate:  pytest benchmarks/bench_lint_speed.py --benchmark-only -s
 """

@@ -5,9 +5,9 @@ on-disk :class:`AnalysisCache` in three tiers:
 
 * **cold** — every file parsed and summarized from scratch before the
   effect fixpoint and slice hashing run;
-* **summary-warm** — summaries replay from the cache by ``(mtime_ns,
-  size)`` and only the fixpoint and the hashing re-run; the manifest memo
-  is deleted before each timed build, so it cannot answer;
+* **summary-warm** — summaries replay from the cache by content digest
+  and only the fixpoint and the hashing re-run; the manifest memo is
+  deleted before each timed build, so it cannot answer;
 * **memo hit** — the finished manifest replays from the memo under its
   source-content key (what ``repro serve --cache`` pays on every start
   after the first).
@@ -17,8 +17,8 @@ All three wall times land in ``BENCH_lint.json`` under the ``purity`` key
 
 The contract this bench enforces: the summary-warm build must beat the
 cold one by at least ``MIN_SPEEDUP``x, so the first start after a source
-edit and manifest refreshes in ``--changed`` loops stay interactive as
-the tree grows.  The memo-hit tier is recorded, not gated.
+edit stays interactive as the tree grows.  The memo-hit tier is
+recorded, not gated.
 
 Regenerate:  pytest benchmarks/bench_purity_speed.py --benchmark-only -s
 """

@@ -4,21 +4,18 @@ The per-file lint rules (:mod:`repro.analysis.lint.rules`) can only see one
 module at a time, so a wall-clock read *two call hops below* the simulator
 step loop passes them.  This module closes that hole: it parses every file
 of the scanned tree exactly once into a compact :class:`FileSummary`
-(imports, classes, per-function call/raise/sink facts), resolves calls
-across module boundaries into a :class:`CallGraph`, and answers the two
-whole-program questions the deep rules need:
+(imports, classes, per-function call/sink/effect/concurrency facts),
+resolves calls across module boundaries into a :class:`CallGraph`, and
+answers the whole-program question the deep rules need: which functions
+are transitively callable from a set of entry points (the simulator step
+loop, the firmware ISR, the campaign workers), with the call chain that
+proves it (:meth:`CallGraph.reachable_from`).
 
-* **reachability** — which functions are transitively callable from the
-  engine entry points (the simulator step loop, the firmware ISR), with
-  the call chain that proves it (:meth:`CallGraph.reachable_from`);
-* **exception escape** — which exception types can propagate out of a
-  function uncaught, tracked back to the raise sites that originate them
-  (:meth:`CallGraph.escaping_exceptions`).
-
-Summaries are cached on disk keyed by ``(mtime_ns, size)`` via
+Summaries are cached on disk keyed by the sha256 of each file's bytes via
 :class:`AnalysisCache`, so repeated ``repro lint`` runs only re-parse the
-files that actually changed.  The cache is advisory: a corrupted, stale or
-unwritable cache degrades to a cold run, never to an error.
+files whose content actually changed.  The cache is advisory: a
+corrupted, stale or unwritable cache degrades to a cold run, never to an
+error.
 
 Resolution policy (documented over-approximation)
 -------------------------------------------------
@@ -74,7 +71,10 @@ from repro.analysis.lint.suppressions import SuppressionIndex
 #: v3: per-function concurrency facts (named locksets on call/mutation
 #: sites, ``with <lock>:`` acquisition sites, thread/process spawn sites,
 #: signal-handler registrations, blocking sinks, ``async def`` flags).
-SUMMARY_SCHEMA_VERSION = 3
+#: v4: dropped the raise sites, try-guards and event-class evidence that
+#: only the retired RC203/RC204/RC205 rules read, and the registration
+#: fields (line, column, scenario, lambda kind) only RC303 read.
+SUMMARY_SCHEMA_VERSION = 4
 #: Bump when the effect/purity *interpretation* of the summaries changes
 #: (new effect kinds, changed fixpoint semantics) without the summary
 #: layout itself changing.  Folded into :func:`rules_cache_key` and the
@@ -87,13 +87,12 @@ EFFECT_SCHEMA_VERSION = 1
 #: analyzers never replay stale RC4xx findings.
 CONCURRENCY_SCHEMA_VERSION = 1
 #: Bump when the on-disk cache file layout changes incompatibly.
-CACHE_SCHEMA_VERSION = 1
+#: v2: entries are validated by the sha256 of the file's bytes instead
+#: of ``(mtime_ns, size)``.
+CACHE_SCHEMA_VERSION = 2
 
 #: Default on-disk location of the analysis cache (relative to the CWD).
 DEFAULT_CACHE_PATH = os.path.join(".repro_cache", "lint.json")
-
-#: Guard marker meaning "catches every exception" (a bare ``except:``).
-CATCH_ALL = "*"
 
 #: Method names that shadow builtin container/str methods: excluded from
 #: the name-based fallback so ``results.append(x)`` does not edge into a
@@ -104,11 +103,6 @@ _BUILTIN_METHOD_NAMES: FrozenSet[str] = frozenset(
     for name in dir(typ)
     if not name.startswith("_")
 )
-
-#: Builtin exceptions that ``except Exception`` does NOT cover.
-_NON_EXCEPTION_BUILTINS = frozenset({
-    "BaseException", "KeyboardInterrupt", "SystemExit", "GeneratorExit",
-})
 
 #: Container/str methods that mutate their receiver in place.  A call
 #: ``root.append(x)`` where ``root`` is module-level state is a shared
@@ -160,8 +154,8 @@ _AMBIENT_ATTRS = frozenset({("os", "environ"), ("sys", "argv")})
 _AMBIENT_METHODS = frozenset({"read_text", "read_bytes"})
 
 #: Function names whose call sites register scenario factories; the second
-#: positional argument (or ``factory=`` keyword) must be pickle-safe by
-#: reference for the multiprocessing fan-out (RC303).
+#: positional argument (or ``factory=`` keyword) is the factory, a worker
+#: entry point for RC301/RC302.
 _REGISTRATION_FUNCS = frozenset({"register_scenario"})
 
 #: Method names whose *unresolved* calls can block the calling thread,
@@ -204,9 +198,6 @@ class CallSite:
     Attributes:
         parts: The dotted callee chain (``a.b.c()`` -> ``("a","b","c")``).
         line: 1-based source line of the call.
-        guards: Exception type names caught by ``try`` blocks enclosing
-            this call *within the same function* (:data:`CATCH_ALL` for a
-            bare ``except:``).
         locks: Normalized names of locks held (``with <lock>:`` blocks
             enclosing the call within the same function) — the lock-order
             analysis propagates these across the edge.
@@ -214,46 +205,16 @@ class CallSite:
 
     parts: Tuple[str, ...]
     line: int
-    guards: Tuple[str, ...] = ()
     locks: Tuple[str, ...] = ()
 
     def to_dict(self) -> Dict[str, Any]:
         return {"parts": list(self.parts), "line": self.line,
-                "guards": list(self.guards), "locks": list(self.locks)}
+                "locks": list(self.locks)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CallSite":
         return cls(parts=tuple(data["parts"]), line=int(data["line"]),
-                   guards=tuple(data.get("guards", ())),
                    locks=tuple(data.get("locks", ())))
-
-
-@dataclass(frozen=True)
-class RaiseSite:
-    """One ``raise`` statement inside a function body.
-
-    ``exception`` is the raised type name when statically known; a bare
-    ``raise`` re-raises the enclosing handler's caught types instead
-    (``handler_types``).  ``None`` with empty handler types means the
-    raised object could not be typed (``raise some_variable``) — such
-    sites are conservatively ignored by the escape analysis.
-    """
-
-    exception: Optional[str]
-    line: int
-    guards: Tuple[str, ...] = ()
-    handler_types: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"exception": self.exception, "line": self.line,
-                "guards": list(self.guards),
-                "handler_types": list(self.handler_types)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RaiseSite":
-        return cls(exception=data.get("exception"), line=int(data["line"]),
-                   guards=tuple(data.get("guards", ())),
-                   handler_types=tuple(data.get("handler_types", ())))
 
 
 @dataclass(frozen=True)
@@ -321,35 +282,29 @@ class MutationSite:
 
 @dataclass(frozen=True)
 class RegistrationSite:
-    """One ``register_scenario(...)`` call site (RC303 evidence).
+    """One ``register_scenario(...)`` call site: its factory is a worker
+    entry point for RC301/RC302.
 
     ``factory_kind`` classifies the factory argument statically:
-    ``"lambda"`` (a lambda literal), ``"nested"`` (a function defined
-    inside the registering function), ``"ref"`` (a name/attribute chain,
-    recorded in ``factory`` for project-level resolution) or ``"unknown"``
-    (a computed value the analysis cannot type — conservatively accepted).
+    ``"nested"`` (a function defined inside the registering function),
+    ``"ref"`` (a name/attribute chain, recorded in ``factory`` for
+    project-level resolution) or ``"unknown"`` (a lambda or computed
+    value the analysis cannot locate — the purity manifest calls those
+    ``unresolved``).
     """
 
-    line: int
-    column: int
-    scenario: Optional[str]
     factory_kind: str
     factory: Tuple[str, ...] = ()
     #: Qualname of the enclosing function ("" at module level).
     enclosing: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"line": self.line, "column": self.column,
-                "scenario": self.scenario,
-                "factory_kind": self.factory_kind,
-                "factory": list(self.factory),
-                "enclosing": self.enclosing}
+        return {"factory_kind": self.factory_kind,
+                "factory": list(self.factory), "enclosing": self.enclosing}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RegistrationSite":
-        return cls(line=int(data["line"]), column=int(data.get("column", 0)),
-                   scenario=data.get("scenario"),
-                   factory_kind=str(data.get("factory_kind", "unknown")),
+        return cls(factory_kind=str(data.get("factory_kind", "unknown")),
                    factory=tuple(data.get("factory", ())),
                    enclosing=str(data.get("enclosing", "")))
 
@@ -473,12 +428,11 @@ class BlockingSite:
 
 @dataclass
 class FunctionSummary:
-    """Call/raise/sink/effect/concurrency facts for one function."""
+    """Call/sink/effect/concurrency facts for one function."""
 
     qualname: str
     line: int
     calls: List[CallSite] = field(default_factory=list)
-    raises: List[RaiseSite] = field(default_factory=list)
     wallclock_sinks: List[SinkSite] = field(default_factory=list)
     random_sinks: List[SinkSite] = field(default_factory=list)
     io_sinks: List[SinkSite] = field(default_factory=list)
@@ -499,7 +453,6 @@ class FunctionSummary:
             "qualname": self.qualname,
             "line": self.line,
             "calls": [c.to_dict() for c in self.calls],
-            "raises": [r.to_dict() for r in self.raises],
             "wallclock_sinks": [s.to_dict() for s in self.wallclock_sinks],
             "random_sinks": [s.to_dict() for s in self.random_sinks],
             "io_sinks": [s.to_dict() for s in self.io_sinks],
@@ -519,7 +472,6 @@ class FunctionSummary:
             qualname=str(data["qualname"]),
             line=int(data.get("line", 0)),
             calls=[CallSite.from_dict(c) for c in data.get("calls", ())],
-            raises=[RaiseSite.from_dict(r) for r in data.get("raises", ())],
             wallclock_sinks=[SinkSite.from_dict(s)
                              for s in data.get("wallclock_sinks", ())],
             random_sinks=[SinkSite.from_dict(s)
@@ -575,16 +527,6 @@ class FileSummary:
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
     suppressions: Dict[int, List[str]] = field(default_factory=dict)
-    #: Top-level class name -> def line (the event vocabulary when this
-    #: file is ``bus/events.py``).
-    class_lines: Dict[str, int] = field(default_factory=dict)
-    #: Capitalised names instantiated via ``Name(...)`` -> first line.
-    instantiated: Dict[str, int] = field(default_factory=dict)
-    #: Capitalised names referenced in a consumption context (isinstance,
-    #: ``events_of``, ``type(x) is``, except handlers, dict keys).
-    consumed: Dict[str, int] = field(default_factory=dict)
-    #: Other capitalised value references (``X if p else Y`` dispatch).
-    referenced: Dict[str, int] = field(default_factory=dict)
     #: Module-level assigned names -> first binding line.  The mutation
     #: analysis classifies writes through these roots as shared state.
     module_globals: Dict[str, int] = field(default_factory=dict)
@@ -604,10 +546,6 @@ class FileSummary:
             "functions": {k: v.to_dict() for k, v in self.functions.items()},
             "classes": {k: v.to_dict() for k, v in self.classes.items()},
             "suppressions": {str(k): v for k, v in self.suppressions.items()},
-            "class_lines": dict(self.class_lines),
-            "instantiated": dict(self.instantiated),
-            "consumed": dict(self.consumed),
-            "referenced": dict(self.referenced),
             "module_globals": dict(self.module_globals),
             "registrations": [r.to_dict() for r in self.registrations],
         }
@@ -626,14 +564,6 @@ class FileSummary:
                      for k, v in data.get("classes", {}).items()},
             suppressions={int(k): list(v)
                           for k, v in data.get("suppressions", {}).items()},
-            class_lines={k: int(v)
-                         for k, v in data.get("class_lines", {}).items()},
-            instantiated={k: int(v)
-                          for k, v in data.get("instantiated", {}).items()},
-            consumed={k: int(v)
-                      for k, v in data.get("consumed", {}).items()},
-            referenced={k: int(v)
-                        for k, v in data.get("referenced", {}).items()},
             module_globals={k: int(v)
                             for k, v in data.get("module_globals",
                                                  {}).items()},
@@ -696,32 +626,6 @@ _TRY_NODES: Tuple[type, ...] = tuple(
     t for t in (getattr(ast, "Try", None), getattr(ast, "TryStar", None))
     if t is not None
 )
-
-
-def _handler_type_names(handler: ast.ExceptHandler) -> Tuple[str, ...]:
-    """Type names an except handler catches; CATCH_ALL for bare except."""
-    node = handler.type
-    if node is None:
-        return (CATCH_ALL,)
-    items = node.elts if isinstance(node, ast.Tuple) else [node]
-    names: List[str] = []
-    for item in items:
-        parts = _dotted_parts(item)
-        if parts:
-            names.append(parts[-1])
-    return tuple(names) if names else (CATCH_ALL,)
-
-
-def _exception_name(node: Optional[ast.expr]) -> Optional[str]:
-    """The raised exception type's name, when statically knowable."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Call):
-        node = node.func
-    parts = _dotted_parts(node)
-    if parts and parts[-1][:1].isupper():
-        return parts[-1]
-    return None
 
 
 #: Methods whose ``self`` mutations are construction, not escape: the
@@ -860,7 +764,6 @@ class _Summarizer:
                 self._summarize_class(node)
         self._scan_module_level(tree)
         self._finalize_registrations()
-        self._collect_event_evidence(tree)
 
     # ------------------------------------------------------------ imports
 
@@ -913,7 +816,6 @@ class _Summarizer:
         self.summary.classes[node.name] = ClassSummary(
             name=node.name, line=node.lineno,
             bases=tuple(bases), methods=tuple(methods))
-        self.summary.class_lines[node.name] = node.lineno
         for item in node.body:
             if isinstance(item, _FunctionNode):
                 self._summarize_function(item, prefix=node.name + ".")
@@ -933,8 +835,7 @@ class _Summarizer:
         ctx = _FunctionContext(
             node, parent=parent_ctx,
             owner_class=owner if owner in self._class_names else None)
-        self._walk_statements(node.body, fn, ctx, guards=(), caught=(),
-                              locks=())
+        self._walk_statements(node.body, fn, ctx, locks=())
 
     def _lock_display(self, parts: Sequence[str],
                       ctx: _FunctionContext) -> str:
@@ -955,8 +856,6 @@ class _Summarizer:
     def _walk_statements(self, stmts: Sequence[ast.stmt],
                          fn: FunctionSummary,
                          ctx: _FunctionContext,
-                         guards: Tuple[str, ...],
-                         caught: Tuple[str, ...],
                          locks: Tuple[str, ...]) -> None:
         for stmt in stmts:
             if isinstance(stmt, _FunctionNode):
@@ -965,39 +864,26 @@ class _Summarizer:
             elif isinstance(stmt, ast.ClassDef):
                 continue  # nested classes: out of scope
             elif isinstance(stmt, _TRY_NODES):
-                handler_union: List[str] = []
+                self._walk_statements(stmt.body, fn, ctx, locks)
                 for handler in stmt.handlers:
-                    handler_union.extend(_handler_type_names(handler))
-                inner = guards + tuple(handler_union)
-                self._walk_statements(stmt.body, fn, ctx, inner, caught,
-                                      locks)
-                for handler in stmt.handlers:
-                    self._walk_statements(
-                        handler.body, fn, ctx, guards,
-                        caught=_handler_type_names(handler), locks=locks)
-                self._walk_statements(stmt.orelse, fn, ctx, guards, caught,
-                                      locks)
-                self._walk_statements(stmt.finalbody, fn, ctx, guards,
-                                      caught, locks)
+                    self._walk_statements(handler.body, fn, ctx, locks)
+                self._walk_statements(stmt.orelse, fn, ctx, locks)
+                self._walk_statements(stmt.finalbody, fn, ctx, locks)
             elif isinstance(stmt, ast.Raise):
-                self._record_raise(stmt, fn, ctx, guards, caught, locks)
+                if stmt.exc is not None:
+                    self._scan_expression(stmt.exc, fn, ctx, locks)
             elif isinstance(stmt, (ast.If, ast.While)):
-                self._scan_expression(stmt.test, fn, ctx, guards, locks)
-                self._walk_statements(stmt.body, fn, ctx, guards, caught,
-                                      locks)
-                self._walk_statements(stmt.orelse, fn, ctx, guards, caught,
-                                      locks)
+                self._scan_expression(stmt.test, fn, ctx, locks)
+                self._walk_statements(stmt.body, fn, ctx, locks)
+                self._walk_statements(stmt.orelse, fn, ctx, locks)
             elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._scan_expression(stmt.iter, fn, ctx, guards, locks)
-                self._walk_statements(stmt.body, fn, ctx, guards, caught,
-                                      locks)
-                self._walk_statements(stmt.orelse, fn, ctx, guards, caught,
-                                      locks)
+                self._scan_expression(stmt.iter, fn, ctx, locks)
+                self._walk_statements(stmt.body, fn, ctx, locks)
+                self._walk_statements(stmt.orelse, fn, ctx, locks)
             elif isinstance(stmt, (ast.With, ast.AsyncWith)):
                 inner_locks = locks
                 for item in stmt.items:
-                    self._scan_expression(item.context_expr, fn, ctx,
-                                          guards, locks)
+                    self._scan_expression(item.context_expr, fn, ctx, locks)
                     parts = _dotted_parts(item.context_expr) or []
                     if parts and _is_lockish(parts):
                         name = self._lock_display(parts, ctx)
@@ -1005,35 +891,18 @@ class _Summarizer:
                             line=stmt.lineno, name=name, held=inner_locks))
                         if name not in inner_locks:
                             inner_locks = inner_locks + (name,)
-                self._walk_statements(stmt.body, fn, ctx, guards, caught,
-                                      inner_locks)
+                self._walk_statements(stmt.body, fn, ctx, inner_locks)
             elif isinstance(stmt, ast.Match):
-                self._scan_expression(stmt.subject, fn, ctx, guards, locks)
+                self._scan_expression(stmt.subject, fn, ctx, locks)
                 for case in stmt.cases:
                     if case.guard is not None:
-                        self._scan_expression(case.guard, fn, ctx, guards,
-                                              locks)
-                    self._walk_statements(case.body, fn, ctx, guards,
-                                          caught, locks)
+                        self._scan_expression(case.guard, fn, ctx, locks)
+                    self._walk_statements(case.body, fn, ctx, locks)
             else:
                 if isinstance(stmt, (ast.Assign, ast.AugAssign,
                                      ast.AnnAssign, ast.Delete)):
                     self._record_mutations(stmt, fn, ctx, locks)
-                self._scan_expression(stmt, fn, ctx, guards, locks)
-
-    def _record_raise(self, stmt: ast.Raise, fn: FunctionSummary,
-                      ctx: _FunctionContext,
-                      guards: Tuple[str, ...],
-                      caught: Tuple[str, ...],
-                      locks: Tuple[str, ...]) -> None:
-        if stmt.exc is not None:
-            self._scan_expression(stmt.exc, fn, ctx, guards, locks)
-        fn.raises.append(RaiseSite(
-            exception=_exception_name(stmt.exc),
-            line=stmt.lineno,
-            guards=guards,
-            handler_types=caught if stmt.exc is None else (),
-        ))
+                self._scan_expression(stmt, fn, ctx, locks)
 
     # ------------------------------------------------------------ mutations
 
@@ -1122,7 +991,6 @@ class _Summarizer:
 
     def _scan_expression(self, node: ast.AST, fn: FunctionSummary,
                          ctx: _FunctionContext,
-                         guards: Tuple[str, ...],
                          locks: Tuple[str, ...]) -> None:
         # A call is "awaited" when it sits anywhere inside an ``await``
         # subtree (covers ``await asyncio.wait_for(evt.wait(), t)``).
@@ -1158,7 +1026,7 @@ class _Summarizer:
             if not parts:
                 continue
             fn.calls.append(CallSite(parts=tuple(parts), line=sub.lineno,
-                                     guards=guards, locks=locks))
+                                     locks=locks))
             self._classify_sink(sub, parts, fn)
             self._classify_blocking(sub, parts, fn, id(sub) in awaited)
             self._record_spawn(sub, parts, fn)
@@ -1370,10 +1238,6 @@ class _Summarizer:
 
     def _record_registration(self, call: ast.Call,
                              enclosing: str) -> None:
-        scenario: Optional[str] = None
-        if call.args and isinstance(call.args[0], ast.Constant) \
-                and isinstance(call.args[0].value, str):
-            scenario = call.args[0].value
         factory: Optional[ast.expr] = None
         if len(call.args) >= 2:
             factory = call.args[1]
@@ -1381,19 +1245,10 @@ class _Summarizer:
             for keyword in call.keywords:
                 if keyword.arg == "factory":
                     factory = keyword.value
-        if factory is None:
-            kind: str = "unknown"
-            fparts: Tuple[str, ...] = ()
-        elif isinstance(factory, ast.Lambda):
-            kind, fparts = "lambda", ()
-        else:
-            dotted = _dotted_parts(factory)
-            kind, fparts = ("ref", tuple(dotted)) if dotted \
-                else ("unknown", ())
+        dotted = _dotted_parts(factory) if factory is not None else None
         self.summary.registrations.append(RegistrationSite(
-            line=call.lineno, column=call.col_offset,
-            scenario=scenario, factory_kind=kind, factory=fparts,
-            enclosing=enclosing))
+            factory_kind="ref" if dotted else "unknown",
+            factory=tuple(dotted or ()), enclosing=enclosing))
 
     def _scan_module_level(self, tree: ast.Module) -> None:
         """Registration calls in module-level statements (import-time
@@ -1410,7 +1265,7 @@ class _Summarizer:
 
     def _finalize_registrations(self) -> None:
         """Reclassify single-name factory refs that resolve to a function
-        nested inside the registering function: pickle-unsafe (RC303)."""
+        nested inside the registering function."""
         final: List[RegistrationSite] = []
         for site in self.summary.registrations:
             if site.factory_kind == "ref" and len(site.factory) == 1 \
@@ -1420,97 +1275,11 @@ class _Summarizer:
                     nested = ".".join(prefix[:depth]) + "." + site.factory[0]
                     if nested in self.summary.functions:
                         site = RegistrationSite(
-                            line=site.line, column=site.column,
-                            scenario=site.scenario, factory_kind="nested",
-                            factory=(nested,), enclosing=site.enclosing)
+                            factory_kind="nested", factory=(nested,),
+                            enclosing=site.enclosing)
                         break
             final.append(site)
         self.summary.registrations = final
-
-    # ------------------------------------------------------ event evidence
-
-    def _collect_event_evidence(self, tree: ast.Module) -> None:
-        """Classify capitalised name references as instantiation evidence,
-        consumption evidence, or plain value references.
-
-        Annotation subtrees and class base lists are excluded — a type
-        annotation mentioning an event class is neither an emission nor a
-        consumption of it.
-        """
-        claimed: Set[int] = set()  # id() of Name nodes already classified
-
-        def note(mapping: Dict[str, int], name_node: ast.Name) -> None:
-            claimed.add(id(name_node))
-            mapping.setdefault(name_node.id, name_node.lineno)
-
-        def capitalised(node: ast.AST) -> Optional[ast.Name]:
-            if isinstance(node, ast.Name) and node.id[:1].isupper():
-                return node
-            return None
-
-        skip: Set[int] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, _FunctionNode):
-                for arg in (list(node.args.args) + list(node.args.posonlyargs)
-                            + list(node.args.kwonlyargs)
-                            + [a for a in (node.args.vararg, node.args.kwarg)
-                               if a is not None]):
-                    if arg.annotation is not None:
-                        skip.update(id(n) for n in ast.walk(arg.annotation))
-                if node.returns is not None:
-                    skip.update(id(n) for n in ast.walk(node.returns))
-            elif isinstance(node, ast.AnnAssign):
-                skip.update(id(n) for n in ast.walk(node.annotation))
-            elif isinstance(node, ast.ClassDef):
-                for base in node.bases:
-                    skip.update(id(n) for n in ast.walk(base))
-
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                parts = _dotted_parts(node.func)
-                ctor = capitalised(node.func)
-                if ctor is not None:
-                    note(self.summary.instantiated, ctor)
-                if parts and parts[-1] == "events_of":
-                    for arg in node.args:
-                        name = capitalised(arg)
-                        if name is not None:
-                            note(self.summary.consumed, name)
-                if parts and parts[-1] == "isinstance" and len(node.args) == 2:
-                    spec = node.args[1]
-                    items = (spec.elts if isinstance(spec, ast.Tuple)
-                             else [spec])
-                    for item in items:
-                        name = capitalised(item)
-                        if name is not None:
-                            note(self.summary.consumed, name)
-            elif isinstance(node, ast.Compare):
-                if any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
-                       for op in node.ops):
-                    for operand in [node.left, *node.comparators]:
-                        name = capitalised(operand)
-                        if name is not None:
-                            note(self.summary.consumed, name)
-            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
-                items = (node.type.elts if isinstance(node.type, ast.Tuple)
-                         else [node.type])
-                for item in items:
-                    name = capitalised(item)
-                    if name is not None:
-                        note(self.summary.consumed, name)
-            elif isinstance(node, ast.Dict):
-                for key in node.keys:
-                    if key is None:
-                        continue
-                    name = capitalised(key)
-                    if name is not None:
-                        note(self.summary.consumed, name)
-
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and node.id[:1].isupper() \
-                    and isinstance(node.ctx, ast.Load) \
-                    and id(node) not in claimed and id(node) not in skip:
-                self.summary.referenced.setdefault(node.id, node.lineno)
 
 
 def summarize_source(source: str, path: str) -> FileSummary:
@@ -1557,12 +1326,26 @@ def _write_atomic(path: str, payload: str) -> bool:
     return True
 
 
-class AnalysisCache:
-    """Mtime-keyed on-disk cache for file summaries and lint findings.
+def file_digest(path: str) -> Optional[str]:
+    """sha256 of the file's bytes; ``None`` when unreadable."""
+    try:
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+    except OSError:
+        return None
 
-    One JSON document maps absolute file paths to ``(mtime_ns, size)``
-    validated entries holding the parsed :class:`FileSummary` and, per
-    rule-set key, the per-file lint findings.  A sibling file
+
+class AnalysisCache:
+    """Content-keyed on-disk cache for file summaries and lint findings.
+
+    One JSON document maps absolute file paths to entries holding the
+    parsed :class:`FileSummary` and, per rule-set key, the per-file lint
+    findings.  An entry is valid only while the sha256 of the file's
+    bytes matches the one it was stored under, so an edit that keeps
+    size and mtime still re-parses.  Each file is hashed at most once per
+    instance (:meth:`digest`): one instance is one snapshot of the tree,
+    shared by the purity memo key, the summary and findings lookups and
+    the slice hashes of a single run.  A sibling file
     (:attr:`manifest_path`) memoizes the latest purity manifest under
     its content key (:func:`repro.analysis.purity.build_purity_manifest`).
     The cache is strictly advisory: unreadable, corrupted, stale or
@@ -1578,6 +1361,7 @@ class AnalysisCache:
         self._loaded: Optional[Dict[str, Dict[str, Any]]] = None
         self._dirty = False
         self._memo: Optional[Dict[str, Any]] = None
+        self._digests: Dict[str, Optional[str]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -1633,32 +1417,30 @@ class AnalysisCache:
     def _key(path: str) -> str:
         return os.path.abspath(path)
 
+    def digest(self, path: str) -> Optional[str]:
+        """:func:`file_digest` of ``path``, read once per instance."""
+        key = self._key(path)
+        if key not in self._digests:
+            self._digests[key] = file_digest(path)
+        return self._digests[key]
+
     def _valid_entry(self, path: str) -> Optional[Dict[str, Any]]:
         entry = self._files.get(self._key(path))
-        if entry is None:
-            return None
-        try:
-            stat = os.stat(path)
-        except OSError:
-            return None
-        if entry.get("mtime_ns") != stat.st_mtime_ns \
-                or entry.get("size") != stat.st_size:
+        digest = self.digest(path)
+        if entry is None or digest is None or entry.get("sha256") != digest:
             return None
         return entry
 
     def _fresh_entry(self, path: str) -> Optional[Dict[str, Any]]:
-        """The (possibly new) entry for the file's *current* stat, dropping
-        any stale content."""
-        try:
-            stat = os.stat(path)
-        except OSError:
+        """The (possibly new) entry for the file's *current* content,
+        dropping any stale one."""
+        digest = self.digest(path)
+        if digest is None:
             return None
-        key = self._key(path)
-        entry = self._files.get(key)
-        if entry is None or entry.get("mtime_ns") != stat.st_mtime_ns \
-                or entry.get("size") != stat.st_size:
-            entry = {"mtime_ns": stat.st_mtime_ns, "size": stat.st_size}
-            self._files[key] = entry
+        entry = self._valid_entry(path)
+        if entry is None:
+            entry = {"sha256": digest}
+            self._files[self._key(path)] = entry
         return entry
 
     # ------------------------------------------------------------ summaries
@@ -1776,7 +1558,6 @@ class Project:
         self._ancestors: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
         self._descendants: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
         self._build_hierarchy()
-        self._exception_ancestors = self._build_exception_names()
 
     # ----------------------------------------------------------- hierarchy
 
@@ -1827,51 +1608,6 @@ class Project:
         related |= self._descendants.get(key, set())
         return related
 
-    # ------------------------------------------------- exception hierarchy
-
-    def _build_exception_names(self) -> Dict[str, FrozenSet[str]]:
-        base_names: Dict[str, Set[str]] = {}
-        for summary in self.summaries.values():
-            for cls in summary.classes.values():
-                base_names.setdefault(cls.name, set()).update(
-                    base.split(".")[-1] for base in cls.bases)
-        closure: Dict[str, FrozenSet[str]] = {}
-        for name in base_names:
-            seen: Set[str] = set()
-            frontier = list(base_names.get(name, ()))
-            while frontier:
-                parent = frontier.pop()
-                if parent in seen:
-                    continue
-                seen.add(parent)
-                frontier.extend(base_names.get(parent, ()))
-            closure[name] = frozenset(seen)
-        return closure
-
-    def exception_family(self, root: str) -> FrozenSet[str]:
-        """``root`` plus every project class transitively deriving from it
-        (by name) — e.g. the injected-fault exception taxonomy."""
-        family = {root}
-        for name, ancestors in self._exception_ancestors.items():
-            if root in ancestors:
-                family.add(name)
-        return frozenset(family)
-
-    def guard_covers(self, guard: str, exception: str) -> bool:
-        """Does ``except <guard>`` catch an ``exception`` instance?"""
-        if guard in (CATCH_ALL, "BaseException") or guard == exception:
-            return True
-        ancestors = self._exception_ancestors.get(exception)
-        if ancestors is not None:
-            return guard in ancestors or (
-                guard == "Exception"
-                and not ancestors & _NON_EXCEPTION_BUILTINS)
-        return guard == "Exception" \
-            and exception not in _NON_EXCEPTION_BUILTINS
-
-    def guards_cover(self, guards: Iterable[str], exception: str) -> bool:
-        return any(self.guard_covers(guard, exception) for guard in guards)
-
     # ----------------------------------------------------------- functions
 
     def function(self, key: NodeKey) -> Optional[FunctionSummary]:
@@ -1881,10 +1617,9 @@ class Project:
         return summary.functions.get(key[1])
 
     def find_functions(self, path_suffix: str,
-                       names: Iterable[str],
-                       match_qualname: bool = False) -> List[NodeKey]:
+                       names: Iterable[str]) -> List[NodeKey]:
         """Functions whose file path ends with ``path_suffix`` and whose
-        (last-segment or full) qualname is in ``names``."""
+        last qualname segment is in ``names``."""
         wanted = set(names)
         found: List[NodeKey] = []
         suffix = path_suffix.replace("\\", "/")
@@ -1892,9 +1627,7 @@ class Project:
             if not path.replace("\\", "/").endswith(suffix):
                 continue
             for qualname in summary.functions:
-                name = qualname if match_qualname \
-                    else qualname.rsplit(".", 1)[-1]
-                if name in wanted:
+                if qualname.rsplit(".", 1)[-1] in wanted:
                     found.append((path, qualname))
         return sorted(found)
 
@@ -1926,7 +1659,7 @@ def load_project(files: Sequence[str],
 
 
 class CallGraph:
-    """The resolved project call graph: edges, reachability, escapes."""
+    """The resolved project call graph: edges and reachability."""
 
     def __init__(self, project: Project) -> None:
         self.project = project
@@ -2157,49 +1890,6 @@ class CallGraph:
             cursor = parents.get(parent)
         chain.reverse()
         return chain
-
-    # ------------------------------------------------------------- escapes
-
-    def escaping_exceptions(
-        self,
-    ) -> Dict[NodeKey, FrozenSet[Tuple[str, str, int]]]:
-        """Fixpoint escape analysis: for every function, the set of
-        ``(exception name, origin path, origin line)`` triples that can
-        propagate out of it uncaught.
-
-        A raise site escapes unless an enclosing handler covers its type;
-        a callee's escaping exceptions flow through each call site unless
-        the site's enclosing handlers cover them.  Monotone over a finite
-        lattice, so iteration terminates.
-        """
-        project = self.project
-        escaping: Dict[NodeKey, Set[Tuple[str, str, int]]] = {}
-        for path, summary in project.summaries.items():
-            for qualname, fn in summary.functions.items():
-                base: Set[Tuple[str, str, int]] = set()
-                for site in fn.raises:
-                    names = ([site.exception] if site.exception is not None
-                             else [name for name in site.handler_types
-                                   if name != CATCH_ALL])
-                    for name in names:
-                        if not project.guards_cover(site.guards, name):
-                            base.add((name, path, site.line))
-                escaping[(path, qualname)] = base
-
-        changed = True
-        while changed:
-            changed = False
-            for caller, out_edges in self.edges.items():
-                current = escaping[caller]
-                for callee, site in out_edges:
-                    for triple in escaping.get(callee, ()):
-                        if triple in current:
-                            continue
-                        if project.guards_cover(site.guards, triple[0]):
-                            continue
-                        current.add(triple)
-                        changed = True
-        return {key: frozenset(value) for key, value in escaping.items()}
 
 
 def build_call_graph(files: Sequence[str],

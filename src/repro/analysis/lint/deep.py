@@ -1,4 +1,4 @@
-"""Interprocedural (whole-program) rules: RC201–RC205, RC301–RC303 and
+"""Interprocedural (whole-program) rules: RC201/RC202, RC301/RC302 and
 RC401–RC405.
 
 The per-file rules in :mod:`repro.analysis.lint.rules` only see one module
@@ -12,20 +12,11 @@ RC201     deep-no-wallclock        a wall-clock read is *transitively*
                                    the firmware ISR
 RC202     deep-no-unseeded-random  unseeded randomness is transitively
                                    reachable from the same entry points
-RC203     fault-containment        an injected-fault exception can propagate
-                                   uncaught past the campaign run boundary
-RC204     event-never-consumed     a ``bus/events.py`` class is emitted (or
-                                   defined) but nothing ever consumes it
-RC205     event-never-emitted      a ``bus/events.py`` class is consumed but
-                                   nothing ever emits it
 RC301     worker-shared-global     shared module/class state is mutated
                                    somewhere transitively reachable from a
                                    campaign worker entry point
 RC302     unlocked-shared-cache    a cache/memo global is mutated without a
                                    lock on a worker-reachable path
-RC303     pickle-safe-registration a scenario factory is registered as a
-                                   lambda or nested function (unpicklable by
-                                   reference — the static VC220/VC221)
 RC401     thread-shared-state      shared mutable state is reached from >= 2
                                    thread roots with no common lock
                                    (Eraser-style lockset check)
@@ -54,18 +45,14 @@ handlers, spawn edges and the lock-order graph lifted over the same
 call graph; ``repro lint --deep --concurrency-report`` additionally
 dumps the machine-readable facts behind the findings.
 
-Findings anchor at the *sink* (the offending call, the raise site, the
-class definition), never at the transitive caller — so a
-``# repro: noqa[RC201]`` suppression lives next to the code that needs the
-exemption, and callers stay clean.
+Findings anchor at the *sink* (the offending call or mutation), never at
+the transitive caller — so a ``# repro: noqa[RC201]`` suppression lives
+next to the code that needs the exemption, and callers stay clean.
 
-On fault containment (RC203): :class:`~repro.bus.simulator.Simulator.run`
-deliberately lets :class:`~repro.errors.InjectedFaultError` propagate —
-that is how a crash fault reaches the harness.  The boundary that must be
-tight is the campaign's: ``Campaign.run`` (serial path) and the worker
-pool's ``_pool_worker`` loop (isolated path) must catch every
-injected-fault exception, or one chaotic spec takes down the whole
-campaign instead of producing a failure record.
+Invariants a tier-1 test already sees at run time (fault containment at
+the campaign boundary, event-vocabulary liveness, picklable scenario
+factories) have no rule here; ``docs/static-analysis.md`` records the
+verdict for every code.
 """
 
 from __future__ import annotations
@@ -84,6 +71,7 @@ from typing import (
 )
 
 from repro.analysis.lint.findings import Finding
+from repro.analysis.lint.suppressions import SuppressionIndex
 
 if TYPE_CHECKING:  # imported lazily at runtime: callgraph imports this
     # package's rule helpers, so a module-level import would be circular.
@@ -91,7 +79,6 @@ if TYPE_CHECKING:  # imported lazily at runtime: callgraph imports this
         AnalysisCache,
         CallGraph,
         CallSite,
-        FileSummary,
         NodeKey,
         Project,
     )
@@ -113,18 +100,6 @@ ENTRY_SPECS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("obs/snapshot.py", ("observe",)),
 )
 
-#: Exception boundaries for RC203, matched by path suffix + *full*
-#: qualname: no injected-fault exception may escape these uncaught.
-#: Every name must resolve (``tests/analysis/lint/test_deep.py`` checks
-#: all three tables): an entry that matches nothing drops its coverage
-#: without a word.
-FAULT_BOUNDARY_SPECS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("experiments/campaign.py", ("Campaign.run",)),
-    # The worker pool's long-lived loop: an injected fault escaping here
-    # would kill the worker instead of reporting an error.
-    ("experiments/service/supervisor.py", ("_pool_worker",)),
-)
-
 #: Campaign worker entry points for RC301/RC302, matched like
 #: :data:`ENTRY_SPECS` (path suffix + last qualname segment).  Statically
 #: resolvable registered scenario factories are added per project on top.
@@ -133,19 +108,6 @@ WORKER_ENTRY_SPECS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("experiments/service/supervisor.py", ("_pool_worker",)),
     ("bus/simulator.py", ("advance", "advance_until")),
 )
-
-#: Deep rules whose findings can only ever anchor in one fixed file.
-#: ``repro lint --deep --changed`` errors when such a rule is explicitly
-#: selected but its anchor file is outside the changed set — silence
-#: there would mean "not checked", not "clean".
-RULE_ANCHOR_SUFFIXES: Dict[str, Tuple[str, ...]] = {
-    "RC204": ("bus/events.py",),
-    "RC205": ("bus/events.py",),
-}
-
-#: Root of the injected-fault exception taxonomy (plus name-resolved
-#: subclasses found in the project).
-FAULT_EXCEPTION_ROOT = "InjectedFaultError"
 
 
 @dataclass(frozen=True)
@@ -164,22 +126,12 @@ DEEP_RULES: Tuple[DeepRule, ...] = (
     DeepRule("RC202", "deep-no-unseeded-random",
              "no unseeded randomness transitively reachable from the "
              "simulator step loop or firmware ISR"),
-    DeepRule("RC203", "fault-containment",
-             "no injected-fault exception escapes the campaign run "
-             "boundary uncaught"),
-    DeepRule("RC204", "event-never-consumed",
-             "every bus/events.py class is consumed somewhere"),
-    DeepRule("RC205", "event-never-emitted",
-             "every consumed bus/events.py class is emitted somewhere"),
     DeepRule("RC301", "worker-shared-global",
              "no shared module/class state is mutated on a path reachable "
              "from a campaign worker entry point or scenario factory"),
     DeepRule("RC302", "unlocked-shared-cache",
              "cache/memo globals on worker-reachable paths are only "
              "mutated under a lock"),
-    DeepRule("RC303", "pickle-safe-registration",
-             "scenario factories are registered as module-level functions "
-             "(picklable by reference), never lambdas or nested defs"),
     DeepRule("RC401", "thread-shared-state",
              "no shared mutable state is reached from two thread roots "
              "without a common lock (Eraser-style lockset check)"),
@@ -207,9 +159,6 @@ def deep_rule_catalogue() -> Tuple[DeepRule, ...]:
     """The interprocedural rules, for ``--list-rules`` and docs."""
     return DEEP_RULES
 
-
-_GRAPH_CODES = frozenset({"RC201", "RC202", "RC203", "RC301", "RC302",
-                          "RC401", "RC402", "RC403", "RC404", "RC405"})
 
 _CONCURRENCY_CODES = frozenset(
     {"RC401", "RC402", "RC403", "RC404", "RC405"})
@@ -402,220 +351,74 @@ def _shared_state_findings(graph: CallGraph,
     return findings
 
 
-def _pickle_soundness_findings(project: Project) -> List[Finding]:
-    findings: List[Finding] = []
-    for path, summary in project.summaries.items():
-        for site in summary.registrations:
-            if site.factory_kind == "lambda":
-                what = "a lambda"
-            elif site.factory_kind == "nested":
-                what = f"nested function {site.factory[0].split('.')[-1]}"
-            else:
-                continue
-            scenario = f"scenario {site.scenario!r}" if site.scenario \
-                else "a scenario"
-            findings.append(Finding(
-                code="RC303", rule="pickle-safe-registration",
-                message=(f"{scenario} registers {what} as its factory; "
-                         "factories must be module-level functions so "
-                         "specs pickle by reference into subprocess "
-                         "workers (the static form of VC220/VC221)"),
-                path=path, line=site.line, column=site.column))
-    return findings
-
-
-def _fault_escape_findings(graph: CallGraph) -> List[Finding]:
-    boundaries: List[NodeKey] = []
-    for suffix, qualnames in FAULT_BOUNDARY_SPECS:
-        boundaries.extend(graph.project.find_functions(
-            suffix, qualnames, match_qualname=True))
-    if not boundaries:
-        return []
-    family = graph.project.exception_family(FAULT_EXCEPTION_ROOT)
-    escaping = graph.escaping_exceptions()
-    findings: List[Finding] = []
-    seen: Set[Tuple[str, int, str]] = set()
-    for boundary in boundaries:
-        for exc, path, line in sorted(escaping.get(boundary, ())):
-            if exc not in family:
-                continue
-            key = (path, line, exc)
-            if key in seen:
-                continue
-            seen.add(key)
-            findings.append(Finding(
-                code="RC203", rule="fault-containment",
-                message=(f"{exc} raised here can propagate uncaught past "
-                         f"the campaign boundary {boundary[1]}; injected "
-                         "faults must surface as failure records, not "
-                         "crash the campaign"),
-                path=path, line=line))
-    return findings
-
-
-def _event_liveness_findings(project: Project,
-                             codes: Set[str]) -> List[Finding]:
-    events_summary: Optional[FileSummary] = None
-    for summary in project.summaries.values():
-        if summary.path.replace("\\", "/").endswith("bus/events.py"):
-            events_summary = summary
-            break
-    if events_summary is None:
-        return []
-    others = [summary for summary in project.summaries.values()
-              if summary is not events_summary]
-    # Abstract roots (classes other vocabulary classes derive from) are
-    # not events themselves — nothing should instantiate them directly.
-    vocab_bases = {
-        base.split(".")[-1]
-        for cls in events_summary.classes.values()
-        for base in cls.bases
-    }
-    findings: List[Finding] = []
-    for name in sorted(events_summary.class_lines):
-        if name in vocab_bases:
-            continue
-        line = events_summary.class_lines[name]
-        consumed = any(name in summary.consumed for summary in others)
-        emitted = any(name in summary.instantiated
-                      or name in summary.referenced for summary in others)
-        if not consumed and "RC204" in codes:
-            detail = ("emitted but never consumed" if emitted
-                      else "neither emitted nor consumed")
-            findings.append(Finding(
-                code="RC204", rule="event-never-consumed",
-                message=(f"event class {name} is {detail} outside "
-                         "bus/events.py — dead vocabulary; drop it or "
-                         "consume it"),
-                path=events_summary.path, line=line))
-        elif consumed and not emitted and "RC205" in codes:
-            findings.append(Finding(
-                code="RC205", rule="event-never-emitted",
-                message=(f"event class {name} is consumed but never "
-                         "emitted outside bus/events.py — that consumer "
-                         "branch is dead; emit it or drop the handler"),
-                path=events_summary.path, line=line))
-    return findings
-
-
 # --------------------------------------------------------------- top level
 
 
-def _dependent_files(graph: "CallGraph",
-                     requested: Set[str]) -> Set[str]:
-    """Absolute paths of files whose *deep* findings can change when the
-    ``requested`` (changed) files change: the transitive call-graph
-    neighbourhood, both directions.
+def _analyze(files: Sequence[str], codes: Set[str],
+             cache: Optional[AnalysisCache],
+             ) -> Tuple[CallGraph, List[Finding], int]:
+    """Build the project call graph around ``files`` and run the ``codes``
+    rules on it.
 
-    Deep findings anchor at sinks, so editing a caller can create or
-    remove a finding anchored in an unchanged callee (a new call edge
-    makes a blocking sink reachable), and editing a callee changes what
-    escapes through its unchanged callers (RC203).  The symmetric
-    closure is the conservative answer; the analysis already runs over
-    the whole project either way, this only widens the reporting filter.
+    Only findings whose sink falls in a requested file are reported,
+    de-duplicated, with ``# repro: noqa`` suppressions on the sink line
+    counted rather than dropped.  Returns ``(graph, findings,
+    suppressed)``.
     """
-    adjacency: Dict[str, Set[str]] = {}
-    for (caller_path, _), out_edges in graph.edges.items():
-        caller_abs = os.path.abspath(caller_path)
-        for (callee_path, _), _site in out_edges:
-            if callee_path == caller_path:
-                continue
-            callee_abs = os.path.abspath(callee_path)
-            adjacency.setdefault(caller_abs, set()).add(callee_abs)
-            adjacency.setdefault(callee_abs, set()).add(caller_abs)
-    seen = set(requested)
-    frontier = list(requested)
-    while frontier:
-        current = frontier.pop()
-        for neighbour in adjacency.get(current, ()):
-            if neighbour not in seen:
-                seen.add(neighbour)
-                frontier.append(neighbour)
-    return seen
+    from repro.analysis.callgraph import CallGraph, load_project
 
+    project = load_project(expand_project_files(files), cache=cache)
+    graph = CallGraph(project)
+    candidates: List[Finding] = []
+    if codes & {"RC201", "RC202"}:
+        candidates.extend(_reachable_sink_findings(graph, codes))
+    if codes & {"RC301", "RC302"}:
+        candidates.extend(_shared_state_findings(graph, codes))
+    if codes & _CONCURRENCY_CODES:
+        from repro.analysis.concurrency import ConcurrencyAnalysis
 
-def _filter_candidates(project: "Project",
-                       candidates: Sequence[Finding],
-                       requested: Set[str],
-                       ) -> Tuple[List[Finding], int]:
-    """Keep findings anchored in ``requested`` files, de-duplicated, with
-    ``# repro: noqa`` suppressions counted (not silently dropped)."""
-    suppression_cache: Dict[str, object] = {}
+        candidates.extend(ConcurrencyAnalysis(graph).findings(
+            sorted(codes & _CONCURRENCY_CODES)))
+
+    requested = {os.path.abspath(path) for path in files}
+    indexes: Dict[str, SuppressionIndex] = {}
     findings: List[Finding] = []
     suppressed = 0
     emitted: Set[Tuple[str, int, int, str]] = set()
     for finding in candidates:
-        if os.path.abspath(finding.path) not in requested:
-            continue
         key = (finding.path, finding.line, finding.column, finding.code)
-        if key in emitted:
+        if os.path.abspath(finding.path) not in requested or key in emitted:
             continue
         emitted.add(key)
-        index = suppression_cache.get(finding.path)
-        if index is None:
-            summary = project.summaries.get(finding.path)
-            index = (summary.suppression_index() if summary is not None
-                     else None)
-            suppression_cache[finding.path] = index
-        if index is not None and index.is_suppressed(  # type: ignore[union-attr]
-                finding.line, finding.code):
+        if finding.path not in indexes:
+            indexes[finding.path] = \
+                project.summaries[finding.path].suppression_index()
+        if indexes[finding.path].is_suppressed(finding.line, finding.code):
             suppressed += 1
         else:
             findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.column, f.code))
-    return findings, suppressed
+    return graph, findings, suppressed
 
 
 def run_deep_rules(files: Sequence[str],
                    codes: Optional[Sequence[str]] = None,
                    cache: Optional[AnalysisCache] = None,
-                   include_dependents: bool = False,
                    ) -> Tuple[List[Finding], int]:
     """Run the interprocedural rules over ``files``.
 
     ``files`` is the already-collected list of requested ``*.py`` files;
     the analysis itself runs over the whole enclosing project (see
     :func:`expand_project_files`) but only findings whose sink falls in a
-    *requested* file are reported.  With ``include_dependents`` (the
-    ``--changed`` path) the requested set additionally covers the
-    transitive call-graph neighbourhood of the given files, because a
-    change in one file can move deep findings anchored in another (see
-    :func:`_dependent_files`).  Returns ``(findings, suppressed)`` where
-    suppressed counts findings silenced by a ``# repro: noqa`` comment
-    on the sink line.
+    *requested* file are reported.  Returns ``(findings, suppressed)``
+    where suppressed counts findings silenced by a ``# repro: noqa``
+    comment on the sink line.
     """
-    from repro.analysis.callgraph import CallGraph, load_project
-
     wanted: Set[str] = set(codes if codes is not None else deep_rule_codes())
     if not wanted or not files:
         return [], 0
-
-    project = load_project(expand_project_files(files), cache=cache)
-
-    candidates: List[Finding] = []
-    graph: Optional[CallGraph] = None
-    if wanted & _GRAPH_CODES or include_dependents:
-        graph = CallGraph(project)
-        if wanted & {"RC201", "RC202"}:
-            candidates.extend(_reachable_sink_findings(graph, wanted))
-        if "RC203" in wanted:
-            candidates.extend(_fault_escape_findings(graph))
-        if wanted & {"RC301", "RC302"}:
-            candidates.extend(_shared_state_findings(graph, wanted))
-        if wanted & _CONCURRENCY_CODES:
-            from repro.analysis.concurrency import ConcurrencyAnalysis
-
-            candidates.extend(ConcurrencyAnalysis(graph).findings(
-                sorted(wanted & _CONCURRENCY_CODES)))
-    if wanted & {"RC204", "RC205"}:
-        candidates.extend(_event_liveness_findings(project, wanted))
-    if "RC303" in wanted:
-        candidates.extend(_pickle_soundness_findings(project))
-
-    requested = {os.path.abspath(path) for path in files}
-    if include_dependents and graph is not None:
-        requested = _dependent_files(graph, requested)
-    return _filter_candidates(project, candidates, requested)
+    _, findings, suppressed = _analyze(files, wanted, cache)
+    return findings, suppressed
 
 
 def build_concurrency_report(files: Sequence[str],
@@ -627,12 +430,8 @@ def build_concurrency_report(files: Sequence[str],
     requested files.  Schema-versioned via
     :data:`repro.analysis.concurrency.CONCURRENCY_REPORT_SCHEMA_VERSION`.
     """
-    from repro.analysis.callgraph import CallGraph, load_project
-    from repro.analysis.concurrency import ConcurrencyAnalysis, build_report
+    from repro.analysis.concurrency import build_report
 
-    project = load_project(expand_project_files(files), cache=cache)
-    graph = CallGraph(project)
-    candidates = ConcurrencyAnalysis(graph).findings()
-    findings, suppressed = _filter_candidates(
-        project, candidates, {os.path.abspath(path) for path in files})
+    graph, findings, suppressed = _analyze(
+        files, set(_CONCURRENCY_CODES), cache)
     return build_report(graph, findings, suppressed)

@@ -163,8 +163,7 @@ def lint_paths(paths: Sequence[str],
                select: Optional[Sequence[str]] = None,
                ignore: Optional[Sequence[str]] = None,
                deep: bool = False,
-               cache: Optional["AnalysisCache"] = None,
-               include_dependents: bool = False) -> LintReport:
+               cache: Optional["AnalysisCache"] = None) -> LintReport:
     """Run the analyzer over files/directories and return the report.
 
     Args:
@@ -177,11 +176,6 @@ def lint_paths(paths: Sequence[str],
         cache: Optional :class:`~repro.analysis.callgraph.AnalysisCache`;
             unchanged files reuse their cached findings and AST summaries
             (the caller owns ``cache.save()``).
-        include_dependents: With ``deep``, widen deep-rule reporting to
-            the call-graph file neighbourhood of ``paths`` — files whose
-            callers/callees changed can gain or lose anchored RC2xx/RC4xx
-            findings without a textual diff of their own, so ``--changed``
-            must re-lint them too.
     """
     files = collect_python_files(paths)
     per_file_select, deep_select = _split_codes(select)
@@ -248,8 +242,7 @@ def lint_paths(paths: Sequence[str],
             deep_codes = [code for code in deep_rule_codes()
                           if code not in set(deep_ignore or ())]
         deep_findings, deep_suppressed = run_deep_rules(
-            files, codes=deep_codes, cache=cache,
-            include_dependents=include_dependents)
+            files, codes=deep_codes, cache=cache)
         findings.extend(deep_findings)
         suppressed += deep_suppressed
 

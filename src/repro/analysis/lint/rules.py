@@ -1,7 +1,9 @@
 """Domain rules: the invariants the test suite can only sample.
 
 Each rule encodes one correctness property of the simulator that is cheap
-to prove statically at PR time:
+to prove statically at PR time and that no general-purpose linter knows
+about (mutable defaults and bare ``except:`` are left to ruff's ``B006``
+and ``E722``):
 
 * **RC101 / RC102** — the engine's per-bit hot paths (``bus/``, ``node/``,
   ``can/``) must stay deterministic and replayable: no wall-clock reads, no
@@ -9,12 +11,10 @@ to prove statically at PR time:
   guarantee (PR 1) rests on this.
 * **RC103** — bit-time quantities converted to float seconds must never be
   compared with ``==`` / ``!=``; compare integer bit times instead.
-* **RC104** — mutable default arguments alias state across calls.
 * **RC105** — events must come from the :mod:`repro.bus.events` vocabulary,
   so stream consumers (``BusProbe``, the trace recorder) stay total.
 * **RC106** — persisted dataclasses (``store.py`` / ``obs/``) must be
   schema-versioned so layout changes fail loudly on load.
-* **RC107** — bare ``except:`` swallows ``SystemExit`` and typos alike.
 * **RC108** — package ``__init__`` files must export a complete, resolvable
   ``__all__`` so the typed public API is what mypy re-exports.
 * **RC109** — fault injectors (``faults/``) must draw randomness only from
@@ -25,7 +25,7 @@ to prove statically at PR time:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.lint.findings import Finding
 from repro.analysis.lint.registry import ModuleContext, rule
@@ -230,43 +230,6 @@ def check_no_float_eq(ctx: ModuleContext) -> Iterator[Finding]:
                 break
 
 
-# ------------------------------------------------ RC104: mutable defaults
-
-_MUTABLE_CALLS = frozenset({
-    "list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter",
-    "OrderedDict",
-})
-
-
-def _is_mutable_default(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                         ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        parts = _dotted_parts(node.func)
-        return bool(parts) and parts[-1] in _MUTABLE_CALLS
-    return False
-
-
-@rule("RC104", "no-mutable-default",
-      "no mutable default arguments")
-def check_no_mutable_default(ctx: ModuleContext) -> Iterator[Finding]:
-    """A mutable default is created once at function definition time and
-    aliased by every call — use None plus an in-body default."""
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        args = node.args
-        defaults = list(args.defaults) + [
-            d for d in args.kw_defaults if d is not None]
-        for default in defaults:
-            if _is_mutable_default(default):
-                yield _finding(
-                    ctx, "RC104", "no-mutable-default",
-                    f"mutable default argument in {node.name}(); use None "
-                    "and create the object inside the function", default)
-
-
 # ------------------------------------------------ RC105: event vocabulary
 
 @rule("RC105", "event-vocabulary",
@@ -369,20 +332,6 @@ def check_schema_version(ctx: ModuleContext) -> Iterator[Finding]:
             f"persisted class {node.name} defines to_dict/from_dict but "
             "carries no schema_version field and its module declares no "
             "SCHEMA_VERSION constant", node)
-
-
-# ------------------------------------------------------ RC107: bare except
-
-@rule("RC107", "no-bare-except", "no bare except clauses")
-def check_no_bare_except(ctx: ModuleContext) -> Iterator[Finding]:
-    """A bare ``except:`` catches SystemExit/KeyboardInterrupt and hides
-    typos; name the exception types."""
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ExceptHandler) and node.type is None:
-            yield _finding(
-                ctx, "RC107", "no-bare-except",
-                "bare except: names no exception types; catch the specific "
-                "errors this block can actually handle", node)
 
 
 # ------------------------------------------------------ RC108: init exports

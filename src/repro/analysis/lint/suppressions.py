@@ -4,7 +4,7 @@ A finding is silenced when the physical line it is anchored to carries a
 suppression comment:
 
 * ``# repro: noqa`` silences every rule on that line;
-* ``# repro: noqa[RC101]`` / ``# repro: noqa[RC101, RC104]`` silence only
+* ``# repro: noqa[RC101]`` / ``# repro: noqa[RC101, RC103]`` silence only
   the listed codes.
 
 The marker is namespaced (``repro:``) so it never collides with flake8 /

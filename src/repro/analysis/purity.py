@@ -27,8 +27,9 @@ registration sites: factories registered through loop variables or
 f-string names resolve fine at runtime, and each resolved factory is then
 located in the static graph by ``(module, qualname)``.  A factory the
 static graph cannot locate (a lambda, a ``<locals>`` closure, a module
-outside the scanned tree) gets the ``unresolved`` verdict — never cached,
-and already flagged by RC303/VC220 elsewhere.
+outside the scanned tree) gets the ``unresolved`` verdict: it is never
+cached, and CI's purity gate fails on it.  VC220/VC221 reject such a
+factory at runtime as well.
 
 The manifest is schema-versioned and loads with the same silent
 degradation discipline as the analysis cache: corrupted, stale or
@@ -51,6 +52,7 @@ from repro.analysis.callgraph import (
     AnalysisCache,
     CallGraph,
     NodeKey,
+    file_digest,
     load_project,
 )
 from repro.analysis.effects import IMPURE_KINDS, EffectAnalysis
@@ -188,18 +190,12 @@ class PurityManifest:
 # ------------------------------------------------------------------ hashing
 
 
-def _file_digest(path: str) -> Optional[str]:
-    try:
-        with open(path, "rb") as handle:
-            return hashlib.sha256(handle.read()).hexdigest()
-    except OSError:
-        return None
-
-
-def _slice_digests(paths: Sequence[str]) -> List[Dict[str, str]]:
+def _slice_digests(paths: Sequence[str],
+                   cache: Optional[AnalysisCache]) -> List[Dict[str, str]]:
+    digest_of = cache.digest if cache is not None else file_digest
     entries: List[Dict[str, str]] = []
     for path in paths:
-        digest = _file_digest(path)
+        digest = digest_of(path)
         if digest is None:
             continue
         rel = os.path.relpath(path).replace("\\", "/")
@@ -251,12 +247,13 @@ def _registry() -> List[Tuple[str, str, str]]:
 
 
 def _memo_key(files: Sequence[str],
-              registry: Sequence[Tuple[str, str, str]]) -> str:
+              registry: Sequence[Tuple[str, str, str]],
+              cache: AnalysisCache) -> str:
     """Content key of a manifest build: schema versions, the Python
     version, every project file's cwd-relative path and sha256 (the
     manifest's paths are cwd-relative too), and the registry."""
     blob = json.dumps([MANIFEST_SCHEMA_VERSION, list(sys.version_info[:2]),
-                       _combine_hash(_slice_digests(files)), registry])
+                       _combine_hash(_slice_digests(files, cache)), registry])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -271,6 +268,8 @@ def build_purity_manifest(files: Sequence[str],
     in it under a content key (:func:`_memo_key`): a build whose sources,
     registry and analyzer versions all match the memo parses nothing,
     and any source edit misses (only the edited files then re-parse).
+    Every file is hashed once: the memo key, the summary lookups and the
+    slice hashes share the cache's per-run digests.
     Call ``cache.save()`` to persist the memo and the summaries.
     """
     from repro.analysis.lint.deep import expand_project_files
@@ -280,7 +279,7 @@ def build_purity_manifest(files: Sequence[str],
     registry = _registry()
     key = ""
     if cache is not None:
-        key = _memo_key(paths, registry)
+        key = _memo_key(paths, registry, cache)
         memo = PurityManifest.from_dict(cache.get_manifest(key))
         if memo is not None and sorted(memo.scenarios) == [
                 name for name, _, _ in registry]:
@@ -314,7 +313,7 @@ def build_purity_manifest(files: Sequence[str],
             effects.append(record)
 
         hash_slice = analysis.slice_from([node] + machinery)
-        digests = _slice_digests(analysis.slice_files(hash_slice))
+        digests = _slice_digests(analysis.slice_files(hash_slice), cache)
         manifest.scenarios[name] = ScenarioPurity(
             scenario=name, factory=label,
             verdict="impure" if impure else "pure",

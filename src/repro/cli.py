@@ -802,48 +802,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _git_changed_python_files() -> Optional[List[str]]:
-    """Python files touched relative to HEAD (tracked diffs + untracked
-    new files).
-
-    Both git commands run from the repository toplevel: ``git diff``
-    prints toplevel-relative paths while ``git ls-files --others`` prints
-    cwd-relative ones, so mixing them from a subdirectory would silently
-    drop untracked files (exactly the new-file case ``--changed`` must
-    catch).  Results are returned relative to the CWD.  Returns None when
-    the working directory is not a git work tree (or git is unavailable)
-    so the caller can report a usable error.
-    """
-    import subprocess
-
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    if not top:
-        return None
-    names: List[str] = []
-    for command in (["git", "diff", "--name-only", "HEAD"],
-                    ["git", "ls-files", "--others", "--exclude-standard"]):
-        try:
-            result = subprocess.run(command, capture_output=True, text=True,
-                                    check=True, cwd=top)
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        names.extend(line.strip() for line in result.stdout.splitlines()
-                     if line.strip())
-    files: set = set()
-    for name in names:
-        if not name.endswith(".py"):
-            continue
-        path = os.path.relpath(os.path.join(top, name))
-        if os.path.isfile(path):
-            files.add(path)
-    return sorted(files)
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import collect_python_files, lint_paths
     from repro.analysis.lint.engine import iter_rule_lines, rule_inventory
@@ -858,43 +816,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 print(line)
         return 0
 
-    if not args.paths and not args.plan and not args.faults \
-            and not args.changed:
-        print("error: give paths to lint, --changed, --plan PLAN.json, "
+    if not args.paths and not args.plan and not args.faults:
+        print("error: give paths to lint, --plan PLAN.json, "
               "and/or --faults FAULTS.json", file=sys.stderr)
         return 2
-
-    lint_targets: Optional[List[str]] = list(args.paths)
-    if args.changed:
-        changed = _git_changed_python_files()
-        if changed is None:
-            print("error: --changed needs a git work tree "
-                  "(git diff against HEAD failed)", file=sys.stderr)
-            return 2
-        if args.paths:
-            scope = {os.path.abspath(f)
-                     for f in collect_python_files(args.paths)}
-            changed = [f for f in changed if os.path.abspath(f) in scope]
-        lint_targets = changed
-        if args.deep and args.select:
-            from repro.analysis.lint.deep import RULE_ANCHOR_SUFFIXES
-
-            requested = [f.replace("\\", "/")
-                         for f in collect_python_files(lint_targets)]
-            missing = []
-            for code in args.select:
-                normalized = code.strip().upper()
-                for suffix in RULE_ANCHOR_SUFFIXES.get(normalized, ()):
-                    if not any(f.endswith(suffix) for f in requested):
-                        missing.append(f"{normalized} anchors in {suffix}")
-            if missing:
-                print("error: --changed excludes the sink files of "
-                      "explicitly selected deep rules "
-                      f"({'; '.join(sorted(set(missing)))}); a clean "
-                      "result there would mean 'not checked', not "
-                      "'clean' — lint those files directly or drop the "
-                      "--select", file=sys.stderr)
-                return 2
 
     if args.purity_manifest and not args.deep:
         print("error: --purity-manifest needs --deep (the manifest is "
@@ -908,26 +833,24 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 2
 
     cache = None
-    if not args.no_cache and (lint_targets or args.changed):
+    if not args.no_cache and args.paths:
         from repro.analysis.callgraph import DEFAULT_CACHE_PATH, AnalysisCache
 
         cache = AnalysisCache(args.cache or DEFAULT_CACHE_PATH)
 
     failed = False
     try:
-        if lint_targets or args.changed:
-            report = lint_paths(lint_targets or [], select=args.select,
+        if args.paths:
+            report = lint_paths(args.paths, select=args.select,
                                 ignore=args.ignore, deep=args.deep,
-                                cache=cache,
-                                include_dependents=args.changed)
+                                cache=cache)
             print(report.render_json() if args.format == "json"
                   else report.render_text())
             failed |= not report.ok
         if args.purity_manifest:
             from repro.analysis.purity import build_purity_manifest
 
-            manifest = build_purity_manifest(lint_targets or [],
-                                             cache=cache)
+            manifest = build_purity_manifest(args.paths, cache=cache)
             manifest.save(args.purity_manifest)
             verdicts = [entry.verdict
                         for entry in manifest.scenarios.values()]
@@ -941,7 +864,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             from repro.analysis.lint.deep import build_concurrency_report
 
             concurrency = build_concurrency_report(
-                collect_python_files(lint_targets or []), cache=cache)
+                collect_python_files(args.paths), cache=cache)
             save_report(concurrency, args.concurrency_report)
             print(f"concurrency report: "
                   f"{len(concurrency['thread_roots'])} thread root(s), "
@@ -1326,10 +1249,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --deep: write the machine-readable RC4xx "
                         "concurrency report (thread roots, locksets, "
                         "lock-order graph, findings)")
-    p.add_argument("--changed", action="store_true",
-                   help="lint only files changed vs git HEAD, plus their "
-                        "call-graph dependents when --deep is on "
-                        "(tracked diffs + untracked)")
     p.add_argument("--cache", default=None, metavar="FILE",
                    help="analysis cache location "
                         "(default: .repro_cache/lint.json)")

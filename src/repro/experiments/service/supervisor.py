@@ -26,9 +26,9 @@ backoff**; a slot that keeps dying is retired so a poisoned environment
 cannot spin the supervisor forever.
 
 The worker loop deliberately catches *every* ``Exception`` (injected
-faults included) and reports it as a structured error — the RC203 fault
-boundary extends to this function — so one chaotic spec degrades to a
-failure record instead of a dead worker.
+faults included) and reports it as a structured error, so one chaotic
+spec degrades to a failure record instead of a dead worker (the service
+test ``test_raising_spec_is_retried_then_failed`` raises through it).
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _pool_worker(conn: Any, heartbeat_seconds: float,
             try:
                 record = execute_spec(spec, flight_path=flight_path)
                 reply = ("ok", key, record.to_dict())
-            except Exception as exc:  # deliberate: the RC203 boundary
+            except Exception as exc:  # deliberate: the fault boundary
                 reply = ("error", key, f"{type(exc).__name__}: {exc}")
             with state_lock:
                 current["key"] = None

@@ -1,4 +1,4 @@
-"""Interprocedural rules RC201–RC205 and their CLI wiring."""
+"""Interprocedural rules RC201/RC202 and RC301/RC302, and their CLI wiring."""
 
 import json
 import os
@@ -124,111 +124,6 @@ class TestSinkSuppression:
         assert report.suppressed == 0
 
 
-class TestFaultContainment:
-    def _tree(self, tmp_path, guard):
-        _package(tmp_path, "pkg", "experiments")
-        _package(tmp_path, "pkg", "faults")
-        _write(tmp_path, "pkg/faults/boom.py",
-               "class InjectedFaultError(Exception):\n"
-               "    pass\n"
-               "class CrashFault(InjectedFaultError):\n"
-               "    pass\n"
-               "def execute_spec(spec):\n"
-               "    raise CrashFault('worker died')\n")
-        handler = (
-            "        except Exception:\n            return None\n" if guard
-            else "        except KeyboardInterrupt:\n            raise\n")
-        _write(tmp_path, "pkg/experiments/campaign.py",
-               "from pkg.faults.boom import execute_spec\n"
-               "class Campaign:\n"
-               "    def run(self):\n"
-               "        try:\n"
-               "            return execute_spec(None)\n"
-               f"{handler}")
-        return str(tmp_path / "pkg")
-
-    def test_contained_fault_passes(self, tmp_path, monkeypatch):
-        root = self._tree(tmp_path, guard=True)
-        monkeypatch.chdir(tmp_path)
-        assert lint_paths([root], deep=True).ok
-
-    def test_escaping_fault_is_rc203_at_the_raise_site(self, tmp_path,
-                                                       monkeypatch):
-        root = self._tree(tmp_path, guard=False)
-        monkeypatch.chdir(tmp_path)
-        report = lint_paths([root], deep=True)
-        findings = [f for f in report.findings if f.code == "RC203"]
-        assert len(findings) == 1
-        assert findings[0].path.replace("\\", "/").endswith("faults/boom.py")
-        assert "Campaign.run" in findings[0].message
-
-
-class TestEventLiveness:
-    def _tree(self, tmp_path, consumer_lines, emitter_lines):
-        _package(tmp_path, "pkg", "bus")
-        _write(tmp_path, "pkg/bus/events.py",
-               "class Event:\n"
-               "    pass\n"
-               "class FrameSent(Event):\n"
-               "    pass\n"
-               "class FrameDropped(Event):\n"
-               "    pass\n")
-        _write(tmp_path, "pkg/bus/sim.py",
-               "from pkg.bus.events import FrameDropped, FrameSent\n"
-               "def run(listener):\n"
-               + "".join(f"    {line}\n" for line in emitter_lines)
-               + "def watch(event):\n"
-               + "".join(f"    {line}\n" for line in consumer_lines))
-        return str(tmp_path / "pkg")
-
-    def test_alive_vocabulary_passes(self, tmp_path, monkeypatch):
-        root = self._tree(
-            tmp_path,
-            emitter_lines=["listener(FrameSent())",
-                           "listener(FrameDropped())"],
-            consumer_lines=["return isinstance(event, "
-                            "(FrameSent, FrameDropped))"])
-        monkeypatch.chdir(tmp_path)
-        assert lint_paths([root], deep=True).ok
-
-    def test_emitted_never_consumed_is_rc204(self, tmp_path, monkeypatch):
-        root = self._tree(
-            tmp_path,
-            emitter_lines=["listener(FrameSent())",
-                           "listener(FrameDropped())"],
-            consumer_lines=["return isinstance(event, FrameSent)"])
-        monkeypatch.chdir(tmp_path)
-        report = lint_paths([root], deep=True)
-        assert [f.code for f in report.findings] == ["RC204"]
-        assert "FrameDropped" in report.findings[0].message
-
-    def test_consumed_never_emitted_is_rc205(self, tmp_path, monkeypatch):
-        root = self._tree(
-            tmp_path,
-            emitter_lines=["listener(FrameSent())"],
-            consumer_lines=["return isinstance(event, "
-                            "(FrameSent, FrameDropped))"])
-        monkeypatch.chdir(tmp_path)
-        report = lint_paths([root], deep=True)
-        assert [f.code for f in report.findings] == ["RC205"]
-        assert "FrameDropped" in report.findings[0].message
-
-    def test_annotations_are_not_consumption_evidence(self, tmp_path,
-                                                      monkeypatch):
-        root = self._tree(
-            tmp_path,
-            emitter_lines=["listener(FrameSent())",
-                           "listener(FrameDropped())"],
-            consumer_lines=["return isinstance(event, FrameSent)"])
-        _write(tmp_path, "pkg/bus/types.py",
-               "from pkg.bus.events import FrameDropped\n"
-               "def annotated(event: FrameDropped) -> FrameDropped:\n"
-               "    return event\n")
-        monkeypatch.chdir(tmp_path)
-        report = lint_paths([root], deep=True)
-        assert "RC204" in [f.code for f in report.findings]
-
-
 class TestSelection:
     def test_deep_codes_require_deep_flag(self):
         with pytest.raises(ConfigurationError):
@@ -246,9 +141,9 @@ class TestSelection:
                "def f():\n"
                "    return time.time()\n")  # RC101 would fire
         monkeypatch.chdir(tmp_path)
-        report = lint_paths([str(tmp_path / "pkg")], select=["RC204"],
+        report = lint_paths([str(tmp_path / "pkg")], select=["RC301"],
                             deep=True)
-        assert report.ok  # RC101 not selected, RC204 has no events.py
+        assert report.ok  # RC101 not selected, RC301 has no worker entry
 
     def test_deep_rules_can_be_ignored(self, tmp_path, monkeypatch):
         root = _fixture_tree(tmp_path)
@@ -260,8 +155,8 @@ class TestSelection:
 class TestRepoTreeGate:
     def test_repo_tree_is_deep_clean(self):
         """`repro lint --deep src/` must exit 0 on the repo itself: the
-        analyzer proves the tree's hot paths deterministic, its injected
-        faults contained, and its event vocabulary alive."""
+        analyzer proves the tree's hot paths deterministic and its
+        worker paths free of unlocked shared state."""
         report = lint_paths(["src"], deep=True)
         assert report.ok, report.render_text()
         # Sanctioned sinks are suppressed at the sink, so they must show
@@ -291,33 +186,8 @@ class TestCli:
     def test_list_rules_includes_deep_catalogue(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RC101", "RC201", "RC205"):
+        for code in ("RC101", "RC201", "RC405"):
             assert code in out
-
-    def test_lint_changed_in_a_fresh_repo(self, tmp_path, monkeypatch,
-                                          capsys):
-        import subprocess
-
-        monkeypatch.chdir(tmp_path)
-        subprocess.run(["git", "init", "-q"], check=True)
-        subprocess.run(["git", "-c", "user.email=t@t", "-c", "user.name=t",
-                        "commit", "-q", "--allow-empty", "-m", "seed"],
-                       check=True)
-        _package(tmp_path, "pkg", "bus")
-        _write(tmp_path, "pkg/bus/mod.py",
-               "import time\n"
-               "def f():\n"
-               "    return time.time()\n")
-        assert main(["lint", "--no-cache", "--changed"]) == 1
-        out = capsys.readouterr().out
-        assert "RC101" in out
-
-    def test_lint_changed_outside_a_repo_is_exit_2(self, tmp_path,
-                                                   monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "nope"))
-        assert main(["lint", "--no-cache", "--changed"]) == 2
-        assert "git" in capsys.readouterr().err
 
     def test_lint_cache_flag_writes_and_reuses(self, tmp_path, monkeypatch,
                                                capsys):
@@ -426,111 +296,6 @@ class TestWorkerSharedState:
         assert "make" in report.findings[0].message
 
 
-class TestPickleSafeRegistration:
-    def test_lambda_registration_is_rc303(self, tmp_path, monkeypatch):
-        _package(tmp_path, "pkg", "experiments")
-        _write(tmp_path, "pkg/experiments/scen.py",
-               "def register_scenario(name, factory):\n"
-               "    return factory\n"
-               "register_scenario('bad', lambda: object())\n")
-        monkeypatch.chdir(tmp_path)
-        report = lint_paths([str(tmp_path / "pkg")], deep=True)
-        assert [f.code for f in report.findings] == ["RC303"]
-        assert "'bad'" in report.findings[0].message
-        assert report.findings[0].line == 3
-
-    def test_nested_def_registration_is_rc303(self, tmp_path, monkeypatch):
-        _package(tmp_path, "pkg", "experiments")
-        _write(tmp_path, "pkg/experiments/scen.py",
-               "def register_scenario(name, factory):\n"
-               "    return factory\n"
-               "def install():\n"
-               "    def make():\n"
-               "        return object()\n"
-               "    register_scenario('nested', make)\n")
-        monkeypatch.chdir(tmp_path)
-        report = lint_paths([str(tmp_path / "pkg")], deep=True)
-        assert [f.code for f in report.findings] == ["RC303"]
-        assert "nested function make" in report.findings[0].message
-
-    def test_module_level_ref_registration_passes(self, tmp_path,
-                                                  monkeypatch):
-        _package(tmp_path, "pkg", "experiments")
-        _write(tmp_path, "pkg/experiments/scen.py",
-               "def register_scenario(name, factory):\n"
-               "    return factory\n"
-               "def make():\n"
-               "    return object()\n"
-               "register_scenario('good', make)\n")
-        monkeypatch.chdir(tmp_path)
-        assert lint_paths([str(tmp_path / "pkg")], deep=True).ok
-
-
-class TestChangedSetCli:
-    def _seed_repo(self, tmp_path):
-        import subprocess
-
-        subprocess.run(["git", "init", "-q"], check=True)
-        subprocess.run(["git", "-c", "user.email=t@t", "-c", "user.name=t",
-                        "commit", "-q", "--allow-empty", "-m", "seed"],
-                       check=True)
-
-    def test_untracked_new_file_is_picked_up_from_a_subdir(
-            self, tmp_path, monkeypatch, capsys):
-        """The historical bug: `git diff` prints toplevel-relative names,
-        `git ls-files --others` cwd-relative ones — running --changed
-        from a subdirectory silently dropped untracked new files."""
-        monkeypatch.chdir(tmp_path)
-        self._seed_repo(tmp_path)
-        _package(tmp_path, "pkg", "bus")
-        _write(tmp_path, "pkg/bus/mod.py",
-               "import time\n"
-               "def f():\n"
-               "    return time.time()\n")
-        monkeypatch.chdir(tmp_path / "pkg")
-        assert main(["lint", "--no-cache", "--changed"]) == 1
-        assert "RC101" in capsys.readouterr().out
-
-    def test_changed_with_anchored_deep_select_errors_clearly(
-            self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        self._seed_repo(tmp_path)
-        _package(tmp_path, "pkg", "util")
-        _write(tmp_path, "pkg/util/helper.py",
-               "def f():\n"
-               "    return 1\n")
-        assert main(["lint", "--no-cache", "--changed", "--deep",
-                     "--select", "RC204"]) == 2
-        err = capsys.readouterr().err
-        assert "RC204" in err
-        assert "bus/events.py" in err
-
-    def test_changed_with_anchor_file_in_the_set_runs(self, tmp_path,
-                                                      monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        self._seed_repo(tmp_path)
-        _package(tmp_path, "pkg", "bus")
-        _write(tmp_path, "pkg/bus/events.py",
-               "class Event:\n"
-               "    pass\n"
-               "class Orphan(Event):\n"
-               "    pass\n")
-        assert main(["lint", "--no-cache", "--changed", "--deep",
-                     "--select", "RC204"]) == 1
-        assert "Orphan" in capsys.readouterr().out
-
-    def test_plain_changed_deep_has_no_anchor_requirement(self, tmp_path,
-                                                          monkeypatch,
-                                                          capsys):
-        monkeypatch.chdir(tmp_path)
-        self._seed_repo(tmp_path)
-        _package(tmp_path, "pkg", "util")
-        _write(tmp_path, "pkg/util/helper.py",
-               "def f():\n"
-               "    return 1\n")
-        assert main(["lint", "--no-cache", "--changed", "--deep"]) == 0
-
-
 class TestPurityManifestCli:
     def test_manifest_requires_deep(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -560,24 +325,17 @@ class TestEntryTables:
         coverage of it (``find_functions`` returns an empty list)."""
         import repro
         from repro.analysis.callgraph import load_project
-        from repro.analysis.lint.deep import (
-            ENTRY_SPECS,
-            FAULT_BOUNDARY_SPECS,
-            WORKER_ENTRY_SPECS,
-        )
+        from repro.analysis.lint.deep import ENTRY_SPECS, WORKER_ENTRY_SPECS
 
         root = os.path.dirname(repro.__file__)
         files = sorted(os.path.join(directory, name)
                        for directory, _, names in os.walk(root)
                        for name in names if name.endswith(".py"))
         project = load_project(files)
-        tables = ((ENTRY_SPECS, False), (FAULT_BOUNDARY_SPECS, True),
-                  (WORKER_ENTRY_SPECS, False))
         unresolved = [
             (suffix, name)
-            for table, by_qualname in tables
+            for table in (ENTRY_SPECS, WORKER_ENTRY_SPECS)
             for suffix, names in table
             for name in names
-            if not project.find_functions(suffix, [name],
-                                          match_qualname=by_qualname)]
+            if not project.find_functions(suffix, [name])]
         assert unresolved == []

@@ -38,10 +38,10 @@ def test_noqa_with_code_suppresses_only_that_code():
     findings, suppressed = run("""
         import time
 
-        def step(load=[]):
-            return time.monotonic(), load  # repro: noqa[RC101]
+        def step():
+            return time.monotonic() == 0.5  # repro: noqa[RC101]
     """)
-    assert [f.code for f in findings] == ["RC104"]
+    assert [f.code for f in findings] == ["RC103"]
     assert suppressed == 1
 
 
@@ -50,7 +50,7 @@ def test_noqa_with_other_code_does_not_suppress():
         import time
 
         def step():
-            return time.monotonic()  # repro: noqa[RC104]
+            return time.monotonic()  # repro: noqa[RC103]
     """)
     assert [f.code for f in findings] == ["RC101"]
     assert suppressed == 0
@@ -60,8 +60,9 @@ def test_noqa_accepts_multiple_codes_and_case():
     findings, suppressed = run("""
         import time
 
-        def step(load=[]):  # repro: NOQA[rc104, RC101]
-            return time.monotonic()
+        def step(load):
+            if load == 0.5:  # repro: NOQA[rc103, RC101]
+                return time.monotonic()
     """)
     assert [f.code for f in findings] == ["RC101"]
     assert suppressed == 1
@@ -144,8 +145,12 @@ def test_lint_paths_reports_counts(tmp_path):
 
 
 # ------------------------------------------------------------------- CLI
+#
+# The CLI caches by default under the working directory, so each of these
+# runs from ``tmp_path`` and leaves the repo's own cache alone.
 
-def test_cli_lint_clean_tree_exits_zero(tmp_path, capsys):
+def test_cli_lint_clean_tree_exits_zero(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     good = tmp_path / "ok.py"
     good.write_text("def f(x):\n    return x\n")
     assert main(["lint", str(good)]) == 0
@@ -153,34 +158,39 @@ def test_cli_lint_clean_tree_exits_zero(tmp_path, capsys):
     assert "0 finding(s) in 1 file(s)" in out
 
 
-def test_cli_lint_findings_exit_one_and_json(tmp_path, capsys):
+def test_cli_lint_findings_exit_one_and_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     bad = tmp_path / "store.py"
-    bad.write_text("def f(xs=[]):\n    return xs\n")
+    bad.write_text("def f(x):\n    return x == 0.5\n")
     assert main(["lint", "--format", "json", str(bad)]) == 1
     data = json.loads(capsys.readouterr().out)
-    assert data["findings"][0]["code"] == "RC104"
+    assert data["findings"][0]["code"] == "RC103"
 
 
-def test_cli_lint_select_and_ignore(tmp_path):
+def test_cli_lint_select_and_ignore(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     bad = tmp_path / "x.py"
-    bad.write_text("def f(xs=[]):\n    return xs\n")
-    assert main(["lint", "--ignore", "RC104", str(bad)]) == 0
-    assert main(["lint", "--select", "RC107", str(bad)]) == 0
+    bad.write_text("def f(x):\n    return x == 0.5\n")
+    assert main(["lint", "--ignore", "RC103", str(bad)]) == 0
+    assert main(["lint", "--select", "RC101", str(bad)]) == 0
 
 
-def test_cli_lint_unknown_code_is_usage_error(tmp_path, capsys):
+def test_cli_lint_unknown_code_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     bad = tmp_path / "x.py"
     bad.write_text("x = 1\n")
     assert main(["lint", "--select", "RC999", str(bad)]) == 2
     assert "RC999" in capsys.readouterr().err
 
 
-def test_cli_lint_no_args_is_usage_error(capsys):
+def test_cli_lint_no_args_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(["lint"]) == 2
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_list_rules_covers_catalogue(capsys):
+def test_cli_list_rules_covers_catalogue(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for code in rule_codes():

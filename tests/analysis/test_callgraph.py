@@ -6,8 +6,10 @@ import os
 from repro.analysis.callgraph import (
     AnalysisCache,
     CACHE_SCHEMA_VERSION,
+    SUMMARY_SCHEMA_VERSION,
     CallGraph,
     build_call_graph,
+    file_digest,
     load_project,
     module_name_for,
     rules_cache_key,
@@ -78,33 +80,6 @@ class TestSummaries:
         sinks = summary.functions["f"].random_sinks
         assert len(sinks) == 1
         assert "without a seed" in sinks[0].description
-
-    def test_guards_recorded_for_try_blocks(self):
-        summary = summarize_source(
-            "def f():\n"
-            "    try:\n"
-            "        g()\n"
-            "    except ValueError:\n"
-            "        h()\n",
-            "mod.py")
-        calls = {c.parts[0]: c for c in summary.functions["f"].calls}
-        assert calls["g"].guards == ("ValueError",)
-        assert calls["h"].guards == ()
-
-    def test_raise_sites_and_bare_reraise(self):
-        summary = summarize_source(
-            "def f():\n"
-            "    try:\n"
-            "        g()\n"
-            "    except KeyError:\n"
-            "        raise\n"
-            "    raise ValueError('nope')\n",
-            "mod.py")
-        raises = summary.functions["f"].raises
-        bare = [r for r in raises if r.exception is None]
-        typed = [r for r in raises if r.exception == "ValueError"]
-        assert bare and bare[0].handler_types == ("KeyError",)
-        assert typed
 
     def test_summary_round_trips_through_dict(self):
         summary = summarize_source(
@@ -226,36 +201,6 @@ class TestResolution:
         chain = CallGraph.call_chain(parents, (a, "leaf"))
         assert [q for _, q in chain] == ["entry", "mid", "leaf"]
 
-    def test_escaping_exceptions_respect_guards(self, tmp_path):
-        graph = self._graph(tmp_path, {
-            "pkg/a.py": (
-                "class Boom(Exception):\n"
-                "    pass\n"
-                "def inner():\n"
-                "    raise Boom('x')\n"
-                "def guarded():\n"
-                "    try:\n"
-                "        inner()\n"
-                "    except Exception:\n"
-                "        pass\n"
-                "def open_caller():\n"
-                "    inner()\n"),
-        })
-        a = str(tmp_path / "pkg" / "a.py")
-        escaping = graph.escaping_exceptions()
-        assert escaping[(a, "guarded")] == frozenset()
-        assert {exc for exc, _, _ in escaping[(a, "open_caller")]} == {"Boom"}
-        assert {exc for exc, _, _ in escaping[(a, "inner")]} == {"Boom"}
-
-    def test_exception_family_by_name(self, tmp_path):
-        _package(tmp_path, "pkg")
-        path = _write(tmp_path, "pkg/errs.py",
-                      "class Root(Exception):\n    pass\n"
-                      "class Leaf(Root):\n    pass\n"
-                      "class Other(Exception):\n    pass\n")
-        project = load_project([path])
-        assert project.exception_family("Root") == {"Root", "Leaf"}
-
 
 # ----------------------------------------------------------------- cache
 
@@ -290,6 +235,41 @@ class TestAnalysisCache:
         assert warm.get_summary(path) is None
         assert warm.misses == 1
 
+    def test_same_length_edit_with_restored_mtime_reparses(self, tmp_path):
+        """Entries are validated by content: an edit that keeps the size
+        and puts the mtime back (as some sync and checkout tools do) must
+        re-parse, where an ``(mtime_ns, size)`` key replays the stale
+        summary."""
+        path = _write(tmp_path, "mod.py", "def f():\n    pass\n")
+        before = os.stat(path)
+        cache_file = str(tmp_path / "cache.json")
+        cold = AnalysisCache(cache_file)
+        load_project([path], cache=cold)
+        cold.save()
+
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("def g():\n    pass\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == \
+            (before.st_size, before.st_mtime_ns)
+        warm = AnalysisCache(cache_file)
+        project = load_project([path], cache=warm)
+        assert (warm.hits, warm.misses) == (0, 1)
+        assert list(project.summaries[path].functions) == ["g"]
+
+    def test_touch_without_an_edit_still_hits(self, tmp_path):
+        path = _write(tmp_path, "mod.py", "def f():\n    pass\n")
+        cache_file = str(tmp_path / "cache.json")
+        cold = AnalysisCache(cache_file)
+        load_project([path], cache=cold)
+        cold.save()
+
+        os.utime(path, ns=(1, 1))
+        warm = AnalysisCache(cache_file)
+        assert warm.get_summary(path) is not None
+        assert (warm.hits, warm.misses) == (1, 0)
+
     def test_corrupted_cache_file_recovers_silently(self, tmp_path):
         path = _write(tmp_path, "mod.py", "def f():\n    pass\n")
         cache_file = tmp_path / "cache.json"
@@ -306,20 +286,23 @@ class TestAnalysisCache:
         cache_file = tmp_path / "cache.json"
         cache_file.write_text(json.dumps({
             "schema_version": CACHE_SCHEMA_VERSION + 1,
-            "files": {os.path.abspath(path): {"mtime_ns": 0, "size": 0}},
+            "files": {os.path.abspath(path): {
+                "sha256": file_digest(path),
+                "summary_version": SUMMARY_SCHEMA_VERSION,
+                "summary": summarize_source("x = 1\n", path).to_dict(),
+            }},
         }), encoding="utf-8")
         cache = AnalysisCache(str(cache_file))
         assert cache.get_summary(path) is None
 
     def test_corrupted_summary_payload_is_a_miss(self, tmp_path):
         path = _write(tmp_path, "mod.py", "x = 1\n")
-        stat = os.stat(path)
         cache_file = tmp_path / "cache.json"
         cache_file.write_text(json.dumps({
             "schema_version": CACHE_SCHEMA_VERSION,
             "files": {os.path.abspath(path): {
-                "mtime_ns": stat.st_mtime_ns, "size": stat.st_size,
-                "summary_version": 1,
+                "sha256": file_digest(path),
+                "summary_version": SUMMARY_SCHEMA_VERSION,
                 "summary": {"garbage": True},
             }},
         }), encoding="utf-8")
@@ -419,3 +402,30 @@ class TestEngineCacheIntegration:
         report = lint_paths(["pkg"], cache=warm_cache)
         assert report.ok
         assert warm_cache.hits > 0 and warm_cache.misses > 0
+
+    def test_same_length_edit_with_restored_mtime_relints(self, tmp_path,
+                                                          monkeypatch):
+        """Cached findings are content-keyed too: defusing the offender
+        without changing its size or mtime must not replay its finding."""
+        from repro.analysis.lint import lint_paths
+
+        _package(tmp_path, "pkg", "bus")
+        offender = _write(tmp_path, "pkg/bus/mod.py",
+                          "import time\n"
+                          "def f():\n"
+                          "    return time.time()\n")
+        before = os.stat(offender)
+        cache_file = str(tmp_path / "cache.json")
+        monkeypatch.chdir(tmp_path)
+
+        cache = AnalysisCache(cache_file)
+        assert not lint_paths(["pkg"], cache=cache).ok
+        cache.save()
+
+        with open(offender, "w", encoding="utf-8") as handle:
+            handle.write("import time\n"
+                         "def f():\n"
+                         "    return time.tame()\n")
+        os.utime(offender, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(offender).st_size == before.st_size
+        assert lint_paths(["pkg"], cache=AnalysisCache(cache_file)).ok

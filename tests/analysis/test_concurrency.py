@@ -418,65 +418,6 @@ class TestCli:
         assert {"VC200", "VC201", "VC221", "VC233", "VC301"} <= vc
 
 
-# ------------------------------------------------- --changed dependents fix
-
-
-class TestChangedIncludesDependents:
-    def _seed_repo(self, tmp_path):
-        import subprocess
-
-        subprocess.run(["git", "init", "-q"], check=True)
-        subprocess.run(["git", "-c", "user.email=t@t", "-c", "user.name=t",
-                        "add", "."], check=True)
-        subprocess.run(["git", "-c", "user.email=t@t", "-c", "user.name=t",
-                        "commit", "-q", "-m", "seed"], check=True)
-
-    def test_callee_finding_surfaces_when_only_caller_changed(
-            self, tmp_path, monkeypatch, capsys):
-        """The bug this fixes: making a blocking helper reachable from a
-        new async handler anchors the RC402 finding in the *unchanged*
-        helper file — plain changed-file filtering silently dropped it."""
-        monkeypatch.chdir(tmp_path)
-        _package(tmp_path, "pkg", "svc")
-        _write(tmp_path, "pkg/svc/util.py",
-               "import time\n"
-               "def pause():\n"
-               "    time.sleep(0.1)\n")
-        _write(tmp_path, "pkg/svc/server.py",
-               "def handle():\n"
-               "    return 0\n")
-        self._seed_repo(tmp_path)
-        # The edit that creates the hazard touches only server.py.
-        _write(tmp_path, "pkg/svc/server.py",
-               "from pkg.svc.util import pause\n"
-               "async def handle(reader, writer):\n"
-               "    pause()\n")
-        assert main(["lint", "--no-cache", "--changed", "--deep"]) == 1
-        out = capsys.readouterr().out
-        assert "RC402" in out
-        assert "util.py" in out
-
-    def test_unrelated_files_stay_outside_the_changed_set(
-            self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        _package(tmp_path, "pkg", "svc")
-        # An RC402 hazard that predates the change, in a module with no
-        # call-graph edge to the changed file: must NOT be reported.
-        _write(tmp_path, "pkg/svc/old.py",
-               "import time\n"
-               "async def stale(reader, writer):\n"
-               "    time.sleep(0.1)\n")
-        _write(tmp_path, "pkg/svc/other.py",
-               "def noop():\n"
-               "    return 0\n")
-        self._seed_repo(tmp_path)
-        _write(tmp_path, "pkg/svc/other.py",
-               "def noop():\n"
-               "    return 1\n")
-        assert main(["lint", "--no-cache", "--changed", "--deep"]) == 0
-        assert "RC402" not in capsys.readouterr().out
-
-
 # ------------------------------------------------------- cache invalidation
 
 

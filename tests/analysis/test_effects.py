@@ -282,3 +282,18 @@ class TestRealRegistry:
         campaign.register_scenario("lambda_scenario", lambda: object())
         manifest = build_purity_manifest(["src/repro"])
         assert manifest.verdict("lambda_scenario") == "unresolved"
+
+    def test_nested_def_factory_is_unresolved(self, monkeypatch):
+        """A factory defined inside another function has a ``<locals>``
+        qualname that the static graph cannot locate."""
+        import repro.experiments.campaign as campaign
+
+        def make(seed=0):
+            return object()
+
+        monkeypatch.setattr(campaign, "_REGISTRY",
+                            dict(campaign._REGISTRY))
+        campaign.register_scenario("nested_scenario", make)
+        manifest = build_purity_manifest(["src/repro"])
+        assert manifest.verdict("nested_scenario") == "unresolved"
+        assert "<locals>" in manifest.scenarios["nested_scenario"].factory

@@ -12,12 +12,16 @@ from repro.bus.events import (
     CounterattackEnded,
     CounterattackStarted,
     ErrorDetected,
+    Event,
     FrameStarted,
     FrameTransmitted,
+    OverloadSignalled,
 )
 from repro.bus.simulator import CanBusSimulator
+from repro.can.constants import DOMINANT
 from repro.can.frame import CanFrame
 from repro.core.defense import MichiCanNode
+from repro.faults import FaultPlan, apply_fault_plan, burst_fault
 from repro.node.controller import CanNode
 
 
@@ -116,3 +120,43 @@ class TestCounterattackAlternation:
                 open_at[event.node] = event.time
             elif isinstance(event, CounterattackEnded):
                 assert event.time > open_at.pop(event.node)
+
+
+class TestVocabularyLiveness:
+    """Every concrete ``repro.bus.events`` class is emitted by one of three
+    small runs: an event type no run produces is dead vocabulary, and a
+    consumer branch for it is dead code."""
+
+    @staticmethod
+    def _concrete_event_classes():
+        import repro.bus.events as events
+
+        classes = {obj for obj in vars(events).values()
+                   if isinstance(obj, type) and issubclass(obj, Event)
+                   and obj.__module__ == events.__name__}
+        return {cls for cls in classes
+                if not any(other is not cls and issubclass(other, cls)
+                           for other in classes)}
+
+    @staticmethod
+    def _overload_run():
+        """A one-bit dominant burst in the first intermission bit after a
+        frame: overload frames plus the burst fault's window events."""
+        sim = CanBusSimulator()
+        a, b = CanNode("a"), CanNode("b")
+        sim.add_nodes(a, b)
+        apply_fault_plan(sim, FaultPlan(faults=(
+            burst_fault(56, 1, DOMINANT, name="intermission"),)))
+        a.send(CanFrame(0x123, b"\x01"))
+        a.send(CanFrame(0x222, b"\x02"))
+        sim.advance(400)
+        return sim
+
+    def test_every_event_class_is_emitted(self):
+        emitted = set()
+        for sim in (quiet_run(), fight_run(), self._overload_run()):
+            emitted.update(type(event) for event in sim.events)
+        concrete = self._concrete_event_classes()
+        assert OverloadSignalled in concrete and Event not in concrete
+        missing = sorted(cls.__name__ for cls in concrete - emitted)
+        assert missing == []

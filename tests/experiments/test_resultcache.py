@@ -395,6 +395,32 @@ class TestManifestMemo:
         assert manifest.scenarios["exp4"].factory \
             == manifest.scenarios["exp3"].factory
 
+    def test_each_file_is_hashed_once_per_build(self, tree, parses,
+                                                monkeypatch):
+        """The memo key, the summary lookups and the slice hashes share
+        the cache's digests: a build with nothing cached reads each file
+        for hashing exactly once."""
+        import collections
+
+        import repro.analysis.callgraph as callgraph
+        from repro.analysis import purity
+
+        hashed = collections.Counter()
+        real = callgraph.file_digest
+
+        def counting(path):
+            hashed[os.path.abspath(path)] += 1
+            return real(path)
+
+        monkeypatch.setattr(callgraph, "file_digest", counting)
+        monkeypatch.setattr(purity, "file_digest", counting)
+        manifest, cache = self._build(os.path.join(".repro_cache",
+                                                   "fresh.json"))
+        assert len(parses) == 1 and cache.hits == 0
+        assert hashed and set(hashed.values()) == {1}
+        assert len(hashed) == cache.misses  # every project file, once
+        assert manifest.render_json() == tree[1]
+
     def test_cache_paths_do_not_share_a_memo(self, tree, parses):
         other = os.path.join(".repro_cache", "other.json")
         shutil.copyfile(self.CACHE, other)  # warm summaries, no memo

@@ -2,13 +2,19 @@
 
 import pytest
 
-from repro.bus.events import ErrorDetected, FrameReceived, FrameTransmitted
+from repro.bus.events import (
+    ErrorDetected,
+    FrameReceived,
+    FrameTransmitted,
+    OverloadSignalled,
+)
 from repro.bus.simulator import CanBusSimulator
 from repro.can.constants import DOMINANT
 from repro.can.frame import CanFrame
 from repro.errors import FrameError
 from repro.faults import FaultInjectingWire, burst_fault
 from repro.node.controller import CanNode, ControllerState
+from repro.obs.probe import BusProbe
 
 
 def burst_wire(bursts):
@@ -105,6 +111,7 @@ class TestOverloadFrames:
         sim2.add_node(a2), sim2.add_node(b2)
         a2.send(CanFrame(0x123, b"\x01"))
         a2.send(CanFrame(0x222, b"\x02"))
+        probe = BusProbe(sim2)
         sim2.advance(400)
         # Both frames still complete; no error counters were touched.
         tx = sim2.events_of(FrameTransmitted)
@@ -112,6 +119,12 @@ class TestOverloadFrames:
         assert a2.tec == 0 and b2.rec == 0
         # The second frame was delayed by the overload frame (~14+ bits).
         assert tx[1].started_at - tx[0].time >= 14
+        # Each controller signals one overload frame at the disturbed bit,
+        # and the probe's overload counter sees both.
+        overloads = sim2.events_of(OverloadSignalled)
+        assert sorted((e.node, e.time, e.consecutive) for e in overloads) \
+            == [("a", tx_time + 1, 1), ("b", tx_time + 1, 1)]
+        assert probe.summary().totals()["overloads"] == 2
 
     def test_overload_flag_state_entered(self):
         sim = CanBusSimulator()
