@@ -5,7 +5,9 @@ window, plus the seven Table II fight specs (exp1-6 and three attackers,
 seed 0) over the paper's 100k-bit recording window.  Per case the file
 records the detection bits, each attacker's bus-off episodes (start, bits,
 attempts), every node's final TEC/REC and a sha256 of the event stream's
-``repr``.  ``test_golden_outcomes.py`` fails on any drift; an intended
+``repr``.  It also records sha256 digests of the three observer outputs
+of a run watched from t=0: the ``MetricsSummary`` dict, the snapshot
+timeline sampled every 500 bits and the ``write_trace`` span file.  ``test_golden_outcomes.py`` fails on any drift; an intended
 change is made by rerunning this script and reviewing the JSON diff::
 
     PYTHONPATH=src python tests/experiments/regen_golden_outcomes.py
@@ -16,10 +18,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from typing import Any, Dict, List, Tuple
 
 from repro.bus.events import AttackDetected
 from repro.experiments.campaign import ScenarioSpec, scenario_names
+from repro.obs.probe import BusProbe
+from repro.obs.snapshot import SnapshotRecorder
+from repro.obs.tracing import TraceCollector, write_trace
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_outcomes.json")
@@ -33,6 +39,9 @@ REQUIRED_PARAMS: Dict[str, Dict[str, Any]] = {
 #: The differential suite's window and seeds.
 WINDOW_BITS = 6_000
 SEEDS = (0, 1, 2)
+
+#: The snapshot period of the observed outputs.
+SNAPSHOT_EVERY_BITS = 500
 
 #: The Table II recording window (2 s at 50 kbit/s).
 TABLE2_BITS = 100_000
@@ -67,10 +76,36 @@ def case_key(spec: ScenarioSpec) -> str:
                       sort_keys=True)
 
 
+def observed_run(spec: ScenarioSpec) -> Tuple[Any, Any, Dict[str, Any]]:
+    """Run ``spec`` with a probe, snapshotter and trace collector attached
+    at t=0; returns (setup, result, observer outputs as JSON text)."""
+    setup = spec.build()
+    sim = setup.sim
+    probe = BusProbe(sim)
+    recorder = sim.add_node(SnapshotRecorder(probe, SNAPSHOT_EVERY_BITS))
+    collector = TraceCollector(sim)
+    result = setup.run(config=spec.run_config())
+    spans = collector.finalize()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_trace(spans, os.path.join(tmp, "run.trace.jsonl"))
+        with open(path, encoding="utf-8") as handle:
+            trace = handle.read()
+    outputs = {
+        "summary": json.dumps(probe.summary().to_dict(), sort_keys=True),
+        "snapshots": json.dumps(recorder.snapshots, sort_keys=True),
+        "trace": trace,
+    }
+    probe.close()
+    return setup, result, outputs
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def outcome(spec: ScenarioSpec) -> Dict[str, Any]:
     """Run ``spec`` and fold the run into its locked outcome."""
-    setup = spec.build()
-    result = setup.run(config=spec.run_config())
+    setup, result, outputs = observed_run(spec)
     sim = setup.sim
     detection_bits: Dict[str, int] = {}
     for event in sim.events_of(AttackDetected):
@@ -92,6 +127,9 @@ def outcome(spec: ScenarioSpec) -> Dict[str, Any]:
                      for node in sim.nodes if hasattr(node, "tec")},
         "events": len(sim.events),
         "events_sha256": digest.hexdigest(),
+        "summary_sha256": _sha256(outputs["summary"]),
+        "snapshots_sha256": _sha256(outputs["snapshots"]),
+        "trace_sha256": _sha256(outputs["trace"]),
     }
 
 
