@@ -10,7 +10,7 @@ deadlines — versus Parrot's sustained ~97.7 % flooding overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable
 
 from repro.can.constants import AVERAGE_FRAME_BITS, IFS_BITS
 

@@ -14,10 +14,10 @@ cost against coverage needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.can.intervals import IdIntervalSet
-from repro.core.config import IvnConfig, Scenario
+from repro.core.config import IvnConfig
 from repro.errors import ConfigurationError
 
 

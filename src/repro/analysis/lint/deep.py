@@ -93,9 +93,10 @@ ENTRY_SPECS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("bus/simulator.py", ("step", "advance", "advance_until")),
     ("bus/fastforward.py", ("try_advance", "_notify_span")),
     ("core/detection.py", ("handler",)),
-    # Observability listeners ride the engine's event delivery, so their
-    # handlers must stay wallclock- and entropy-free like the hot loop.
-    ("obs/tracing.py", ("_on_event", "_on_span_commit")),
+    # Observability listeners ride the engine's event and span delivery,
+    # so their handlers must stay wallclock- and entropy-free like the
+    # hot loop.
+    ("obs/tracing.py", ("_on_span_commit",)),
     ("obs/flight.py", ("_on_event",)),
     ("obs/snapshot.py", ("observe",)),
 )

@@ -17,7 +17,7 @@ here, entire frames later.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.can.frame import CanFrame
 from repro.node.controller import CanNode

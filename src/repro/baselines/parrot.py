@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from typing import FrozenSet, Iterable, Optional
 
-from repro.can.constants import DOMINANT, RECESSIVE
+from repro.can.constants import DOMINANT
 from repro.can.frame import CanFrame
 from repro.node.controller import CanNode, ControllerState
 

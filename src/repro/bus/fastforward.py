@@ -307,6 +307,8 @@ class FastForwardEngine:
 
         self._michican: type = MichiCanNode
         self._kinds: Dict[type, int] = {}
+        #: Bits to step per-bit after the current decline.
+        self._retry_bits = RETRY_INTERVAL_BITS
 
     def on_span(self, listener: Callable[[SpanCommit], None],
                 ) -> Callable[[], None]:
@@ -361,11 +363,12 @@ class FastForwardEngine:
             while sim.time < deadline and not sim._stop_requested:
                 if try_advance(deadline):
                     continue
+                bits, self._retry_bits = self._retry_bits, RETRY_INTERVAL_BITS
                 cycles = self._armed_cycles()
                 if cycles is not None:
-                    self._step_cycles(cycles, deadline)
+                    self._step_cycles(cycles, deadline, bits)
                 else:
-                    chunk = sim.time + RETRY_INTERVAL_BITS
+                    chunk = sim.time + bits
                     sim._step_bits(chunk if chunk < deadline else deadline)
         finally:
             if self._cycles is not None:
@@ -399,9 +402,10 @@ class FastForwardEngine:
             cycles = self._cycles = CycleMemo(sim, self.stats)
         return cycles
 
-    def _step_cycles(self, cycles: "CycleMemo", deadline: int) -> None:
-        """Step up to RETRY_INTERVAL_BITS bits per-bit, handing every SOF
-        boundary to the cycle memo (which may replay whole cycles)."""
+    def _step_cycles(self, cycles: "CycleMemo", deadline: int,
+                     budget: int) -> None:
+        """Step up to ``budget`` bits per-bit, handing every SOF boundary
+        to the cycle memo (which may replay whole cycles)."""
         sim = self.sim
         nodes = sim.nodes
         count = len(nodes)
@@ -410,7 +414,6 @@ class FastForwardEngine:
         controllers = [node for node in nodes if isinstance(node, CanNode)]
         outputs = [0] * count
         drive = sim.wire.drive
-        budget = RETRY_INTERVAL_BITS
         time = sim.time
         while budget and time < deadline and not sim._stop_requested:
             if len(nodes) != count:  # topology changed mid-run
@@ -476,6 +479,8 @@ class FastForwardEngine:
                 sample_at = node.next_sample_at()
                 if sample_at is not None and sample_at < deadline:
                     if sample_at <= sim.time:
+                        # Only the capture bit itself must be stepped.
+                        self._retry_bits = 1
                         return self._decline("sampler")
                     deadline = sample_at
                 continue

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.can.constants import (
-    ACK_DELIMITER_BITS,
-    ACK_SLOT_BITS,
-    CRC_DELIMITER_BITS,
     DOMINANT,
     EOF_BITS,
     RECESSIVE,

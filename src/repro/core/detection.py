@@ -32,7 +32,7 @@ documented (see DESIGN.md):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.can.constants import (

@@ -9,7 +9,7 @@ messages with a unique transmitter, a period, and packed physical signals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.can.constants import MAX_DLC, MAX_STD_ID
 from repro.errors import DbcError

@@ -25,11 +25,7 @@ from repro.node.scheduler import PeriodicMessage, PeriodicScheduler
 from repro.vehicle.parksense import ParkSense
 from repro.workloads.matrix import theoretical_bus_load
 from repro.workloads.restbus import RestbusNode
-from repro.workloads.vehicles import (
-    PARKSENSE_ATTACK_ID,
-    pacifica_matrix,
-    vehicle_buses,
-)
+from repro.workloads.vehicles import pacifica_matrix, vehicle_buses
 
 #: The MichiCAN-equipped ECU's CAN ID in all Table II experiments.
 DEFENDER_ID = 0x173

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from repro.attacks.dos import DosAttacker
-from repro.bus.events import AttackDetected, BusOffEntered, FrameStarted
+from repro.bus.events import AttackDetected
 from repro.bus.simulator import CanBusSimulator
 from repro.can.frame import CanFrame
 from repro.core.defense import MichiCanNode
 from repro.experiments.config import RunConfig
 from repro.node.controller import CanNode
-from repro.trace.framelog import FINAL_PASSIVE_FRAME_BITS
+from repro.trace.framelog import FrameLog
 from repro.workloads.matrix import theoretical_bus_load
 from repro.workloads.restbus import RestbusNode
 from repro.workloads.vehicles import vehicle_buses
@@ -141,12 +141,8 @@ def _run_fight(
     sim.advance_until(lambda s: attacker.is_bus_off, limit)
     detections = sim.events_of(AttackDetected)
     detection_bit = detections[0].detection_bit if detections else 0
-    busoffs = sim.events_of(BusOffEntered)
-    busoff_bits: Optional[int] = None
-    if busoffs:
-        first = next(e.time for e in sim.events_of(FrameStarted)
-                     if e.node == "attacker")
-        busoff_bits = busoffs[0].time + FINAL_PASSIVE_FRAME_BITS - first
+    episodes = FrameLog(sim.events).busoff_episodes(attacker.name)
+    busoff_bits = episodes[0].duration_bits if episodes else None
     return FightSample(attack_id, dlc, detection_bit, busoff_bits)
 
 

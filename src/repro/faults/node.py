@@ -14,7 +14,7 @@ All randomness is seeded per fault spec; no module-level RNG.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Sequence, Type
 
 from repro.bus.events import FaultActivated, FaultDeactivated
 from repro.can.constants import BUS_IDLE_RECESSIVE_BITS, DOMINANT, RECESSIVE

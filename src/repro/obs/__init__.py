@@ -1,32 +1,31 @@
-"""Observability: metrics primitives, bus probes, snapshots, exporters.
+"""Observability: bus probes, snapshots, traces, exporters.
 
 The paper's evaluation is a set of derived time-series metrics over
 bit-level protocol activity (bus-off times, detection latency, bus load,
-CPU cost).  This package makes that a first-class layer instead of ad-hoc
-rescans of ``sim.events``:
+CPU cost).  This package makes that a first-class layer.  Its observers
+fold the events the simulator records in ``sim.events`` after the fact
+instead of subscribing to the live stream; only the flight recorder
+writes while the run is alive, so that its log survives a crash:
 
-* :mod:`repro.obs.metrics` — counters / gauges / histograms behind a
-  near-zero-overhead :class:`~repro.obs.metrics.MetricsRegistry`;
-* :mod:`repro.obs.probe` — :class:`~repro.obs.probe.BusProbe`, a live
-  subscriber on the simulator event stream maintaining per-node protocol
-  metrics, summarized into a :class:`~repro.obs.probe.MetricsSummary`;
+* :mod:`repro.obs.metrics` — the fixed-bucket
+  :class:`~repro.obs.metrics.Histogram` of detection latency;
+* :mod:`repro.obs.probe` — :class:`~repro.obs.probe.BusProbe`, a view
+  that folds the recorded events through
+  :class:`~repro.trace.framelog.FrameLog` into per-node protocol metrics,
+  summarized into a :class:`~repro.obs.probe.MetricsSummary`;
 * :mod:`repro.obs.snapshot` — a periodic snapshotter sampling every N
   simulated bits into a schema-versioned JSONL timeline;
-* :mod:`repro.obs.export` — Prometheus-style text exposition and JSONL;
+* :mod:`repro.obs.export` — Prometheus-style text exposition of summaries;
 * :mod:`repro.obs.profiler` — wall-clock per-phase timing of the engine's
   output / drive / observe cycle;
-* :mod:`repro.obs.tracing` — causal per-frame lifecycle spans, exported
-  as JSONL or Chrome ``trace_event`` JSON (Perfetto-loadable);
+* :mod:`repro.obs.tracing` — causal per-frame lifecycle spans built from
+  the recorded events, exported as JSONL or Chrome ``trace_event`` JSON
+  (Perfetto-loadable);
 * :mod:`repro.obs.flight` — a crash flight recorder keeping a bounded
   ring of recent events and node state for post-mortem dumps.
 """
 
-from repro.obs.export import (
-    registry_to_jsonl,
-    registry_to_prometheus,
-    report_to_prometheus,
-    summary_to_prometheus,
-)
+from repro.obs.export import report_to_prometheus, summary_to_prometheus
 from repro.obs.flight import (
     FLIGHT_KIND,
     FLIGHT_SCHEMA_VERSION,
@@ -35,7 +34,7 @@ from repro.obs.flight import (
     render_dump,
     write_dump,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.probe import BusProbe, MetricsSummary
 from repro.obs.profiler import PhaseProfile, profile_run
 from repro.obs.snapshot import (
@@ -58,13 +57,10 @@ from repro.obs.tracing import (
 
 __all__ = [
     "BusProbe",
-    "Counter",
     "FLIGHT_KIND",
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "MetricsSummary",
     "PhaseProfile",
     "SNAPSHOT_SCHEMA_VERSION",
@@ -78,8 +74,6 @@ __all__ = [
     "profile_run",
     "read_snapshots",
     "read_trace",
-    "registry_to_jsonl",
-    "registry_to_prometheus",
     "render_dump",
     "render_spans",
     "report_to_prometheus",

@@ -1,19 +1,16 @@
-"""Exporters: Prometheus text exposition and JSONL for offline analysis.
+"""Exporters: Prometheus text exposition of run summaries.
 
 Prometheus naming conventions apply: every series is prefixed ``repro_``,
 counters get a ``_total`` suffix, histograms are exported as cumulative
-``_bucket{le=...}`` series plus ``_sum`` / ``_count``.  The JSONL form is
-one metric object per line (the :meth:`to_dict` of each primitive) — easy
-to load into pandas/jq without a Prometheus server.
+``_bucket{le=...}`` series plus ``_sum`` / ``_count``.
 """
 
 from __future__ import annotations
 
-import json
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, List, Mapping, Optional
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.probe import NODE_COUNTER_FIELDS, MetricsSummary
+from repro.obs.probe import MetricsSummary
+from repro.trace.framelog import NODE_COUNTER_FIELDS
 
 if TYPE_CHECKING:
     from repro.experiments.campaign import CampaignReport
@@ -51,35 +48,6 @@ def _histogram_lines(name: str, data: Mapping[str, Any],
     lines.append(f"{name}_count{_format_labels(labels)} "
                  f"{data.get('count', 0)}")
     return lines
-
-
-def registry_to_prometheus(registry: MetricsRegistry,
-                           extra_labels: Optional[Mapping[str, Any]] = None
-                           ) -> str:
-    """Text exposition of a live registry."""
-    lines: List[str] = []
-    extra = dict(extra_labels or {})
-    for metric in registry.collect():
-        labels = dict(metric.labels)
-        labels.update(extra)
-        if isinstance(metric, Counter):
-            name = f"{PREFIX}{metric.name}_total"
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name}{_format_labels(labels)} {metric.value}")
-        elif isinstance(metric, Gauge):
-            name = f"{PREFIX}{metric.name}"
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name}{_format_labels(labels)} {metric.value}")
-        elif isinstance(metric, Histogram):
-            lines.extend(_histogram_lines(
-                f"{PREFIX}{metric.name}", metric.to_dict(), labels))
-    return "\n".join(lines) + "\n"
-
-
-def registry_to_jsonl(registry: MetricsRegistry) -> str:
-    """One metric object per line."""
-    return "\n".join(json.dumps(metric.to_dict(), sort_keys=True)
-                     for metric in registry.collect()) + "\n"
 
 
 def summary_to_prometheus(summary: MetricsSummary,

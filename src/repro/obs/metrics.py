@@ -1,68 +1,19 @@
-"""Metrics primitives: counters, gauges, histograms, and their registry.
+"""Metrics primitives: the fixed-bucket histogram of run summaries.
 
-The design target is *near-zero overhead on the hot path*: a metric is a
-plain ``__slots__`` object whose update is one attribute mutation, and the
-registry is only consulted at creation time — call sites hold direct
-references afterwards.  Everything is JSON-safe and picklable so metric
-state can cross the campaign engine's process boundary.
+A histogram is a plain ``__slots__`` object whose update is a few
+attribute mutations.  It is JSON-safe and picklable so metric state can
+cross the campaign engine's process boundary.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
 #: Bump when the serialized metric dict layout changes incompatibly.
 METRICS_SCHEMA_VERSION = 1
-
-#: Label sets are stored canonically: a tuple of (key, value) pairs sorted
-#: by key, so ``{"node": "a"}`` and equal dicts map to the same metric.
-LabelsKey = Tuple[Tuple[str, str], ...]
-
-
-def _labels_key(labels: Mapping[str, Any]) -> LabelsKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-class Counter:
-    """A monotonically increasing count (frames, errors, drops...)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelsKey = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ConfigurationError(
-                f"counter {self.name!r} cannot decrease (inc {amount})")
-        self.value += amount
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"type": "counter", "name": self.name,
-                "labels": dict(self.labels), "value": self.value}
-
-
-class Gauge:
-    """A value that goes up and down (TEC, bus load, queue depth...)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelsKey = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"type": "gauge", "name": self.name,
-                "labels": dict(self.labels), "value": self.value}
 
 
 #: Default histogram buckets for detection latency in ID-bit positions:
@@ -77,20 +28,17 @@ class Histogram:
     (non-cumulative per bucket); ``counts[-1]`` is the overflow bucket.
     """
 
-    __slots__ = ("name", "labels", "buckets", "counts", "count", "sum",
-                 "min", "max")
+    __slots__ = ("name", "buckets", "counts", "count", "sum", "min", "max")
 
     def __init__(
         self,
         name: str,
         buckets: Sequence[float] = DETECTION_LATENCY_BUCKETS,
-        labels: LabelsKey = (),
     ) -> None:
         if not buckets or list(buckets) != sorted(buckets):
             raise ConfigurationError(
                 f"histogram {name!r} needs ascending, non-empty buckets")
         self.name = name
-        self.labels = labels
         self.buckets: Tuple[float, ...] = tuple(float(b) for b in buckets)
         self.counts: List[int] = [0] * (len(self.buckets) + 1)
         self.count = 0
@@ -114,7 +62,6 @@ class Histogram:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "type": "histogram", "name": self.name,
-            "labels": dict(self.labels),
             "buckets": list(self.buckets), "counts": list(self.counts),
             "count": self.count, "sum": self.sum,
             "min": self.min, "max": self.max,
@@ -122,66 +69,10 @@ class Histogram:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Histogram":
-        histogram = cls(data["name"], buckets=data["buckets"],
-                        labels=_labels_key(data.get("labels", {})))
+        histogram = cls(data["name"], buckets=data["buckets"])
         histogram.counts = list(data["counts"])
         histogram.count = data["count"]
         histogram.sum = data["sum"]
         histogram.min = data.get("min")
         histogram.max = data.get("max")
         return histogram
-
-
-Metric = Any  # Counter | Gauge | Histogram
-
-
-class MetricsRegistry:
-    """A flat namespace of metrics keyed by (name, labels).
-
-    ``counter`` / ``gauge`` / ``histogram`` are get-or-create: probes call
-    them once per (metric, label set) and keep the returned object, so the
-    per-event cost is a single attribute update — the registry is never on
-    the hot path.
-    """
-
-    def __init__(self) -> None:
-        self._metrics: Dict[Tuple[str, LabelsKey], Metric] = {}
-
-    def _get_or_create(self, factory: type, name: str,
-                       labels: Mapping[str, Any],
-                       **kwargs: Any) -> Metric:
-        key = (name, _labels_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = factory(name, labels=key[1], **kwargs)
-            self._metrics[key] = metric
-        elif not isinstance(metric, factory):
-            raise ConfigurationError(
-                f"metric {name!r}{dict(key[1])} already registered as "
-                f"{type(metric).__name__}")
-        return metric
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get_or_create(Counter, name, labels)
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get_or_create(Gauge, name, labels)
-
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DETECTION_LATENCY_BUCKETS,
-                  **labels: Any) -> Histogram:
-        return self._get_or_create(Histogram, name, labels, buckets=buckets)
-
-    def collect(self) -> Iterator[Metric]:
-        """All metrics, sorted by (name, labels) for stable output."""
-        for key in sorted(self._metrics):
-            yield self._metrics[key]
-
-    def get(self, name: str, **labels: Any) -> Optional[Metric]:
-        return self._metrics.get((name, _labels_key(labels)))
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return [metric.to_dict() for metric in self.collect()]

@@ -1,15 +1,19 @@
-"""The bus probe: live per-node protocol metrics from the event stream.
+"""The bus probe: per-node protocol metrics folded from recorded events.
 
-:class:`BusProbe` subscribes to :meth:`CanBusSimulator.on_event` and turns
-the typed event stream into registry-backed metrics — the quantities behind
-the paper's Tables II-III and Figs. 4b/6: frames transmitted/received,
+:class:`BusProbe` is a view over a simulator's recorded event stream
+(``sim.events``): it remembers where the stream stood when it was
+attached and, whenever it is asked for a :meth:`~BusProbe.snapshot` or a
+:meth:`~BusProbe.summary`, folds the events recorded since into a
+:class:`~repro.trace.framelog.FrameLog` — the quantities behind the
+paper's Tables II-III and Figs. 4b/6: frames transmitted/received,
 arbitration losses, error frames by type, overload frames, TEC/REC
 trajectories, bus-off entries and recoveries, counterattack count and
-duration, and a detection-latency histogram in ID-bit positions.
+duration, and a detection-latency histogram in ID-bit positions.  Live
+TEC/REC/state and the wire counters are read from the simulator itself.
 
-The probe is purely a listener: it never drives the bus, never perturbs
-the protocol, and detaches cleanly via :meth:`BusProbe.close` so reused
-simulators do not accumulate dead listeners.
+The probe never subscribes to the event stream, so it costs nothing
+while the bus runs and never holds the fast-forward engine back.
+:meth:`BusProbe.close` freezes the end of the folded stream.
 """
 
 from __future__ import annotations
@@ -17,29 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
-from repro.bus.events import (
-    ArbitrationLost,
-    AttackDetected,
-    BusOffEntered,
-    BusOffRecovered,
-    CounterattackEnded,
-    CounterattackStarted,
-    ErrorDetected,
-    ErrorStateChanged,
-    Event,
-    FaultActivated,
-    FaultDeactivated,
-    FrameReceived,
-    FrameStarted,
-    FrameTransmitted,
-    OverloadSignalled,
-)
-from repro.bus.simulator import replay_safe
-from repro.obs.metrics import (
-    DETECTION_LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Histogram
+from repro.trace.framelog import NODE_COUNTER_FIELDS, FrameLog
 
 if TYPE_CHECKING:
     from repro.bus.simulator import CanBusSimulator
@@ -47,33 +30,6 @@ if TYPE_CHECKING:
 #: Bump when the MetricsSummary dict layout changes incompatibly.
 #: v2: per-node ``fault_activations`` counter (fault-injection windows).
 SUMMARY_SCHEMA_VERSION = 2
-
-#: The per-node counter fields of a summary, in render order.
-NODE_COUNTER_FIELDS = (
-    "frames_tx", "frames_rx", "frame_attempts", "retransmissions",
-    "arbitration_losses", "error_frames", "overloads", "busoffs",
-    "recoveries", "detections", "counterattacks", "counterattack_bits",
-    "fault_activations",
-)
-
-
-class _NodeProbe:
-    """Hot-path per-node state: direct counter references, no lookups."""
-
-    __slots__ = NODE_COUNTER_FIELDS + (
-        "errors_by_type", "tec_trajectory", "counterattack_started_at",
-        "counterattack_max_bits", "max_tec", "max_rec",
-    )
-
-    def __init__(self, registry: MetricsRegistry, node: str) -> None:
-        for name in NODE_COUNTER_FIELDS:
-            setattr(self, name, registry.counter(name, node=node))
-        self.errors_by_type: Dict[str, int] = {}
-        self.tec_trajectory: List[List[int]] = []
-        self.counterattack_started_at: Optional[int] = None
-        self.counterattack_max_bits = 0
-        self.max_tec = 0
-        self.max_rec = 0
 
 
 @dataclass
@@ -201,7 +157,7 @@ class MetricsSummary:
         aggregated["busy_fraction"] = busy_bits / duration if duration else 0.0
         aggregated["detection_latency"] = (
             {k: v for k, v in merged.to_dict().items()
-             if k not in ("type", "name", "labels")}
+             if k not in ("type", "name")}
             if merged is not None else {})
         return aggregated
 
@@ -234,12 +190,11 @@ def render_totals(totals: Dict[str, Any]) -> str:
 
 
 class BusProbe:
-    """Maintains per-node protocol metrics from a simulator's event stream.
+    """Per-node protocol metrics of a simulator, from its recorded events.
 
     Args:
-        sim: The simulator to observe; the probe subscribes immediately.
-        registry: Optional shared :class:`MetricsRegistry` (a fresh private
-            one by default).
+        sim: The simulator to observe; the probe covers the events
+            recorded from now on.
 
     Example:
         >>> from repro.bus.simulator import CanBusSimulator
@@ -254,136 +209,26 @@ class BusProbe:
         1
     """
 
-    def __init__(self, sim: "CanBusSimulator",
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, sim: "CanBusSimulator") -> None:
         self.sim = sim
-        # "or" would discard a shared-but-still-empty registry (len() == 0).
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.detection_latency = self.registry.histogram(
-            "detection_latency_bits", buckets=DETECTION_LATENCY_BUCKETS)
-        self._nodes: Dict[str, _NodeProbe] = {}
-        self._events_seen = 0
+        self._log = FrameLog()
+        self._start = self._folded = len(sim.events)
         self._started_at = sim.time
-        self._dispatch = {
-            FrameStarted: self._on_frame_started,
-            FrameTransmitted: self._on_frame_transmitted,
-            FrameReceived: self._on_frame_received,
-            ArbitrationLost: self._on_arbitration_lost,
-            ErrorDetected: self._on_error_detected,
-            ErrorStateChanged: self._on_error_state_changed,
-            OverloadSignalled: self._on_overload,
-            BusOffEntered: self._on_busoff,
-            BusOffRecovered: self._on_recovery,
-            AttackDetected: self._on_attack_detected,
-            CounterattackStarted: self._on_counterattack_started,
-            CounterattackEnded: self._on_counterattack_ended,
-            FaultActivated: self._on_fault_activated,
-            FaultDeactivated: self._on_fault_deactivated,
-        }
-        self._unsubscribe = sim.on_event(self._on_event)
         self.closed = False
 
-    # ------------------------------------------------------------ routing
-
-    def _node(self, name: str) -> _NodeProbe:
-        probe = self._nodes.get(name)
-        if probe is None:
-            probe = self._nodes[name] = _NodeProbe(self.registry, name)
-        return probe
-
-    @replay_safe
-    def _on_event(self, event: Event) -> None:
-        self._events_seen += 1
-        handler = self._dispatch.get(type(event))
-        if handler is not None:
-            handler(event)
-
-    # ----------------------------------------------------------- handlers
-
-    def _on_frame_started(self, event: FrameStarted) -> None:
-        self._node(event.node).frame_attempts.inc()
-
-    def _on_frame_transmitted(self, event: FrameTransmitted) -> None:
-        node = self._node(event.node)
-        node.frames_tx.inc()
-        if event.attempts > 1:
-            node.retransmissions.inc(event.attempts - 1)
-
-    def _on_frame_received(self, event: FrameReceived) -> None:
-        self._node(event.node).frames_rx.inc()
-
-    def _on_arbitration_lost(self, event: ArbitrationLost) -> None:
-        self._node(event.node).arbitration_losses.inc()
-
-    def _on_error_detected(self, event: ErrorDetected) -> None:
-        node = self._node(event.node)
-        node.error_frames.inc()
-        kind = event.error.error_type.value
-        node.errors_by_type[kind] = node.errors_by_type.get(kind, 0) + 1
-
-    def _on_error_state_changed(self, event: ErrorStateChanged) -> None:
-        node = self._node(event.node)
-        node.tec_trajectory.append([event.time, event.tec, event.rec])
-        if event.tec > node.max_tec:
-            node.max_tec = event.tec
-        if event.rec > node.max_rec:
-            node.max_rec = event.rec
-
-    def _on_overload(self, event: OverloadSignalled) -> None:
-        self._node(event.node).overloads.inc()
-
-    def _on_busoff(self, event: BusOffEntered) -> None:
-        node = self._node(event.node)
-        node.busoffs.inc()
-        if event.tec > node.max_tec:
-            node.max_tec = event.tec
-
-    def _on_recovery(self, event: BusOffRecovered) -> None:
-        self._node(event.node).recoveries.inc()
-
-    def _on_attack_detected(self, event: AttackDetected) -> None:
-        self._node(event.node).detections.inc()
-        self.detection_latency.observe(event.detection_bit)
-
-    def _on_counterattack_started(self, event: CounterattackStarted) -> None:
-        node = self._node(event.node)
-        node.counterattacks.inc()
-        node.counterattack_started_at = event.time
-
-    def _on_counterattack_ended(self, event: CounterattackEnded) -> None:
-        node = self._node(event.node)
-        if node.counterattack_started_at is None:
-            return
-        bits = event.time - node.counterattack_started_at
-        node.counterattack_bits.inc(bits)
-        if bits > node.counterattack_max_bits:
-            node.counterattack_max_bits = bits
-        node.counterattack_started_at = None
-
-    def _on_fault_activated(self, event: FaultActivated) -> None:
-        self._node(event.node).fault_activations.inc()
-
-    def _on_fault_deactivated(self, event: FaultDeactivated) -> None:
-        self._node(event.node)  # window close: node appears in the summary
+    def _fold(self) -> FrameLog:
+        """Fold the events recorded since the last call (until closed)."""
+        events = self.sim.events
+        if not self.closed and len(events) > self._folded:
+            self._log.feed(events[self._folded:])
+            self._folded = len(events)
+        return self._log
 
     # ------------------------------------------------------------ outputs
 
     def node_metrics(self, name: str) -> Dict[str, Any]:
         """One node's current metric values as a plain dict."""
-        probe = self._nodes.get(name)
-        data: Dict[str, Any] = {}
-        if probe is not None:
-            for field_name in NODE_COUNTER_FIELDS:
-                data[field_name] = getattr(probe, field_name).value
-            data["errors_by_type"] = dict(probe.errors_by_type)
-            data["tec_trajectory"] = [list(p) for p in probe.tec_trajectory]
-            data["max_tec"] = probe.max_tec
-            data["max_rec"] = probe.max_rec
-            data["counterattack_max_bits"] = probe.counterattack_max_bits
-        else:
-            data = {field_name: 0 for field_name in NODE_COUNTER_FIELDS}
-            data.update(errors_by_type={}, tec_trajectory=[],
-                        max_tec=0, max_rec=0, counterattack_max_bits=0)
+        data = self._fold().tally(name).metrics()
         live = self._live_node(name)
         if live is not None:
             data["tec"] = live.tec
@@ -400,7 +245,7 @@ class BusProbe:
         return None
 
     def _node_names(self) -> List[str]:
-        names = set(self._nodes)
+        names = set(self._fold().nodes)
         names.update(node.name for node in self.sim.nodes
                      if hasattr(node, "tec"))
         return sorted(names)
@@ -429,21 +274,23 @@ class BusProbe:
         return metrics
 
     def summary(self) -> MetricsSummary:
-        """Freeze the probe's current state into a serializable summary."""
-        # Account for a counterattack still open at summary time.
-        for probe in self._nodes.values():
-            if probe.counterattack_started_at is not None:
-                bits = self.sim.time - probe.counterattack_started_at
-                probe.counterattack_bits.inc(max(bits, 0))
-                probe.counterattack_started_at = None
-        latency = {k: v for k, v in self.detection_latency.to_dict().items()
-                   if k not in ("type", "name", "labels")}
+        """Freeze the probe's current state into a serializable summary.
+
+        A counterattack still open now counts up to the current clock.
+        """
+        log = self._fold()
+        nodes = {name: self.node_metrics(name) for name in self._node_names()}
+        for name, tally in log.nodes.items():
+            if tally.counterattack_started_at is not None:
+                nodes[name]["counterattack_bits"] += max(
+                    self.sim.time - tally.counterattack_started_at, 0)
+        latency = {k: v for k, v in log.detection_latency.to_dict().items()
+                   if k not in ("type", "name")}
         return MetricsSummary(
             duration_bits=self.sim.time - self._started_at,
             bus_speed=self.sim.bus_speed,
-            events=self._events_seen,
-            nodes={name: self.node_metrics(name)
-                   for name in self._node_names()},
+            events=self._folded - self._start,
+            nodes=nodes,
             bus=self.bus_metrics(),
             detection_latency=latency,
         )
@@ -452,29 +299,27 @@ class BusProbe:
         """One point-in-time sample (the snapshotter's payload): live
         TEC/REC/state plus cumulative counters per node, and bus load.
 
-        Deliberately O(nodes), never O(history): unlike :meth:`summary`
-        this skips the :class:`~repro.trace.recorder.LogicTrace` idle-gap
-        scan of the recorded wire, reading only the wire's running
-        counters — a periodic snapshotter calls this thousands of times.
+        Deliberately O(nodes + new events), never O(history): unlike
+        :meth:`summary` this skips the :class:`~repro.trace.recorder.
+        LogicTrace` idle-gap scan of the recorded wire, reading only the
+        wire's running counters, and folds only the events recorded since
+        the previous call — a periodic snapshotter calls this thousands of
+        times.
         """
+        log = self._fold()
         wire = self.sim.wire
         live_nodes = {node.name: node for node in self.sim.nodes
                       if hasattr(node, "tec")}
         nodes = {}
-        for name in sorted(set(self._nodes) | set(live_nodes)):
-            probe = self._nodes.get(name)
-            entry: Dict[str, Any] = {}
-            if probe is not None:
-                entry.update(
-                    frames_tx=probe.frames_tx.value,
-                    frames_rx=probe.frames_rx.value,
-                    errors=probe.error_frames.value,
-                    busoffs=probe.busoffs.value,
-                    counterattacks=probe.counterattacks.value,
-                )
-            else:
-                entry.update(frames_tx=0, frames_rx=0, errors=0,
-                             busoffs=0, counterattacks=0)
+        for name in sorted(set(log.nodes) | set(live_nodes)):
+            tally = log.tally(name)
+            entry: Dict[str, Any] = {
+                "frames_tx": tally.frames_tx,
+                "frames_rx": tally.frames_rx,
+                "errors": tally.error_frames,
+                "busoffs": tally.busoffs,
+                "counterattacks": tally.counterattacks,
+            }
             live = live_nodes.get(name)
             if live is not None:
                 entry.update(tec=live.tec, rec=live.rec,
@@ -482,7 +327,7 @@ class BusProbe:
             nodes[name] = entry
         return {
             "time": self.sim.time if time is None else time,
-            "events": self._events_seen,
+            "events": self._folded - self._start,
             "dominant_fraction": round(wire.dominant_fraction(), 6),
             "dominant_bits": wire.dominant_bits,
             "dropped_recorded_bits": wire.dropped_bits,
@@ -490,7 +335,7 @@ class BusProbe:
         }
 
     def close(self) -> None:
-        """Detach from the simulator's event stream (idempotent)."""
+        """Fold what was recorded so far and stop there (idempotent)."""
         if not self.closed:
-            self._unsubscribe()
+            self._fold()
             self.closed = True

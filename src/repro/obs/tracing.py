@@ -3,25 +3,27 @@
 The paper's claims are temporal — detection fires inside the 13–20 bit ID
 window, counterattacks begin before EOF, victims never reach bus-off — and
 aggregate metrics cannot show them per frame.  :class:`TraceCollector`
-subscribes to the simulator's typed event stream and stitches the events
-into **causal spans**: every transmission attempt becomes a ``frame`` span
-with ``queue_wait`` / ``arbitration`` children, detection verdicts and
-counterattack windows attach to the frame they interrupted, and bus-off
-episodes become per-node root spans.  Spans carry bit-time begin/end,
-parent/child links and a small attribute dict, and export as
+folds the typed events the simulator records (``sim.events``) from the
+moment it is attached, and at :meth:`~TraceCollector.finalize` stitches
+them into **causal spans**: every transmission attempt becomes a
+``frame`` span with ``queue_wait`` / ``arbitration`` children, detection
+verdicts and counterattack windows attach to the frame they interrupted,
+and bus-off episodes become per-node root spans.  Spans carry bit-time
+begin/end, parent/child links and a small attribute dict, and export as
 schema-versioned JSONL or as Chrome ``trace_event`` JSON loadable in
 Perfetto / ``chrome://tracing`` (``repro trace export``).
 
-Engine neutrality: the collector is a pure function of the event stream
-(plus the final clock at :meth:`~TraceCollector.finalize`).  Fast-forward
-spans are event-free by construction and never enclose a lifecycle
-boundary — SOF, arbitration, detection, error and EOF handling all stay
-per-bit — so the fast and bit engines *synthesize identical span streams*
-with no special-casing; the differential suite asserts byte equality.
+Engine neutrality: the collector is a pure function of the recorded
+events (plus the final clock at :meth:`~TraceCollector.finalize`).
+Fast-forward spans are event-free by construction and never enclose a
+lifecycle boundary — SOF, arbitration, detection, error and EOF handling
+all stay per-bit — so the fast and bit engines *synthesize identical span
+streams* with no special-casing; the differential suite asserts byte equality.
 :class:`~repro.bus.fastforward.SpanCommit` subscriptions
 (``include_engine_spans=True``) add purely diagnostic ``ff.body`` /
 ``ff.idle`` annotation spans on a separate track; they are engine
-artifacts and excluded from the equality contract.
+artifacts, never recorded in ``sim.events``, so this one subscription
+stays live, and they are excluded from the equality contract.
 
 Span taxonomy (see ``docs/tracing.md``):
 
@@ -54,11 +56,9 @@ from repro.bus.events import (
     CounterattackEnded,
     CounterattackStarted,
     ErrorDetected,
-    Event,
     FrameStarted,
     FrameTransmitted,
 )
-from repro.bus.simulator import replay_safe
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
@@ -123,9 +123,9 @@ class Span:
 
 
 class TraceCollector:
-    """Stitches the event stream into frame-lifecycle spans.
+    """Stitches the recorded events into frame-lifecycle spans.
 
-    Attach before running::
+    Attach before running; only events recorded after the attach count::
 
         collector = TraceCollector(sim)
         sim.advance(20_000)
@@ -133,14 +133,16 @@ class TraceCollector:
         write_trace(spans, "run.trace.jsonl")
 
     Args:
-        sim: Simulator to observe; the collector subscribes immediately.
+        sim: Simulator to observe; spans are built from the events it
+            records from now on.
         include_engine_spans: Also record fast-forward ``SpanCommit``
             annotations into :attr:`engine_spans` (diagnostics only; the
             bit engine never produces them, so they are kept out of
             :attr:`spans` to preserve engine-identical traces).
 
     Attributes:
-        spans: All lifecycle spans, in creation (= event) order.
+        spans: All lifecycle spans, in creation (= event) order; filled
+            by :meth:`finalize`.
         engine_spans: Fast-forward annotation spans (separate id space).
     """
 
@@ -159,18 +161,9 @@ class TraceCollector:
         self._open_busoffs: Dict[str, Span] = {}
         #: defender name -> open "counterattack" span
         self._open_counters: Dict[str, Span] = {}
-        self._dispatch = {
-            FrameStarted: self._on_frame_started,
-            FrameTransmitted: self._on_frame_transmitted,
-            ArbitrationLost: self._on_arbitration_lost,
-            ErrorDetected: self._on_error_detected,
-            BusOffEntered: self._on_busoff_entered,
-            BusOffRecovered: self._on_busoff_recovered,
-            AttackDetected: self._on_attack_detected,
-            CounterattackStarted: self._on_counterattack_started,
-            CounterattackEnded: self._on_counterattack_ended,
-        }
-        self._unsubscribe = sim.on_event(self._on_event)
+        self._start = len(sim.events)
+        self._stop: Optional[int] = None
+        self._finalized = False
         self._unsubscribe_spans = None
         if include_engine_spans:
             self._unsubscribe_spans = sim._engine().on_span(
@@ -188,12 +181,6 @@ class TraceCollector:
         self._next_id += 1
         self.spans.append(span)
         return span
-
-    @replay_safe
-    def _on_event(self, event: Event) -> None:
-        handler = self._dispatch.get(type(event))
-        if handler is not None:
-            handler(event)
 
     def _inflight(self) -> Optional[Span]:
         """The unique open frame span, when arbitration has resolved.
@@ -284,6 +271,18 @@ class TraceCollector:
         if span is not None:
             span.end = event.time
 
+    _DISPATCH = {
+        FrameStarted: _on_frame_started,
+        FrameTransmitted: _on_frame_transmitted,
+        ArbitrationLost: _on_arbitration_lost,
+        ErrorDetected: _on_error_detected,
+        BusOffEntered: _on_busoff_entered,
+        BusOffRecovered: _on_busoff_recovered,
+        AttackDetected: _on_attack_detected,
+        CounterattackStarted: _on_counterattack_started,
+        CounterattackEnded: _on_counterattack_ended,
+    }
+
     # ------------------------------------------------------- engine spans
 
     def _on_span_commit(self, commit: "SpanCommit") -> None:
@@ -297,8 +296,18 @@ class TraceCollector:
     # ----------------------------------------------------------- lifecycle
 
     def finalize(self) -> List[Span]:
-        """Close every still-open span at the current clock and return
-        the span list (idempotent; also detaches the collector)."""
+        """Build the spans from the events recorded since the attach (up
+        to a :meth:`close`), close every still-open span at the current
+        clock and return the span list (idempotent; also detaches the
+        engine-span subscription)."""
+        if self._finalized:
+            return self.spans
+        self.close()
+        dispatch = self._DISPATCH
+        for event in self.sim.events[self._start:self._stop]:
+            handler = dispatch.get(type(event))
+            if handler is not None:
+                handler(self, event)
         now = self.sim.time
         for span in self.spans:
             if span.end is None:
@@ -310,13 +319,14 @@ class TraceCollector:
         self._open_arbs.clear()
         self._open_busoffs.clear()
         self._open_counters.clear()
-        self.close()
+        self._finalized = True
         return self.spans
 
     def close(self) -> None:
-        """Detach from the simulator's event stream (idempotent)."""
+        """Stop at the events recorded so far and detach the engine-span
+        subscription (idempotent)."""
         if not self.closed:
-            self._unsubscribe()
+            self._stop = len(self.sim.events)
             if self._unsubscribe_spans is not None:
                 self._unsubscribe_spans()
             self.closed = True

@@ -11,7 +11,7 @@ recovery once MichiCAN buses the attacker off.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.can.frame import CanFrame

@@ -10,7 +10,7 @@ view a production VHAL would provide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.can.frame import CanFrame

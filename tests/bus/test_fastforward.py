@@ -138,6 +138,21 @@ class TestEngineEligibility:
         sim.advance(600)
         assert len(engine._plans) == 1  # identical frames share one plan
 
+    def test_each_sample_costs_one_per_bit_step(self):
+        from repro.obs.probe import BusProbe
+        from repro.obs.snapshot import SnapshotRecorder
+
+        sim = CanBusSimulator()
+        sim.add_nodes(CanNode("a"), CanNode("b"))
+        recorder = sim.add_node(SnapshotRecorder(BusProbe(sim), 1_000))
+        sim.advance(10_000)
+        # Samples at 1000..9000 land on per-bit steps; idle spans resume
+        # on the very next bit.
+        assert [s["time"] for s in recorder.snapshots] == list(
+            range(1_000, 10_000, 1_000))
+        assert sim.ff_stats.declines["sampler"] == 9
+        assert sim.ff_stats.fast_bits == 10_000 - 9
+
 
 def test_release_records_frees_buffers_and_keeps_running():
     """A finished run can drop its event stream, wire history and cycle

@@ -1,18 +1,10 @@
-"""Tests for the Prometheus / JSONL exporters."""
-
-import json
+"""Tests for the Prometheus exporters."""
 
 from repro.attacks.dos import DosAttacker
 from repro.bus.simulator import CanBusSimulator
 from repro.core.defense import MichiCanNode
-from repro.obs.export import (
-    registry_to_jsonl,
-    registry_to_prometheus,
-    report_to_prometheus,
-    summary_to_prometheus,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.probe import BusProbe
+from repro.obs.export import report_to_prometheus, summary_to_prometheus
+from repro.obs.probe import BusProbe, MetricsSummary
 
 
 def fight_summary():
@@ -22,46 +14,6 @@ def fight_summary():
     probe = BusProbe(sim)
     sim.advance(3_000)
     return probe.summary()
-
-
-class TestRegistryExposition:
-    def _registry(self):
-        registry = MetricsRegistry()
-        registry.counter("frames_tx", node="a").inc(3)
-        registry.gauge("tec", node="a").set(96)
-        histogram = registry.histogram("latency", buckets=(2.0, 4.0))
-        histogram.observe(1)
-        histogram.observe(3)
-        return registry
-
-    def test_prometheus_format(self):
-        text = registry_to_prometheus(self._registry())
-        assert '# TYPE repro_frames_tx_total counter' in text
-        assert 'repro_frames_tx_total{node="a"} 3' in text
-        assert 'repro_tec{node="a"} 96' in text
-        # histogram buckets are cumulative
-        assert 'repro_latency_bucket{le="2.0"} 1' in text
-        assert 'repro_latency_bucket{le="4.0"} 2' in text
-        assert 'repro_latency_count 2' in text
-
-    def test_extra_labels(self):
-        text = registry_to_prometheus(self._registry(),
-                                      extra_labels={"spec": "exp4#0"})
-        assert 'node="a",spec="exp4#0"' in text
-
-    def test_label_values_are_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("frames_tx", node='say "hi"\\now\n').inc(1)
-        text = registry_to_prometheus(registry)
-        assert 'node="say \\"hi\\"\\\\now\\n"' in text
-        assert "\n\"" not in text  # no raw newline inside a label value
-
-    def test_jsonl(self):
-        lines = registry_to_jsonl(self._registry()).strip().splitlines()
-        parsed = [json.loads(line) for line in lines]
-        assert len(parsed) == 3
-        assert {entry["type"] for entry in parsed} == \
-            {"counter", "gauge", "histogram"}
 
 
 class TestSummaryExposition:
@@ -74,6 +26,28 @@ class TestSummaryExposition:
         assert 'repro_bus_total_bits 3000' in text
         assert 'repro_bus_busy_fraction' in text
         assert 'repro_detection_latency_bits_bucket' in text
+
+    def test_histogram_buckets_are_cumulative(self):
+        summary = MetricsSummary(detection_latency={
+            "buckets": [2.0, 4.0], "counts": [1, 1, 0],
+            "count": 2, "sum": 4, "min": 1, "max": 3})
+        text = summary_to_prometheus(summary)
+        assert 'repro_detection_latency_bits_bucket{le="2.0"} 1' in text
+        assert 'repro_detection_latency_bits_bucket{le="4.0"} 2' in text
+        assert 'repro_detection_latency_bits_bucket{le="+Inf"} 2' in text
+        assert 'repro_detection_latency_bits_count 2' in text
+
+    def test_extra_labels(self):
+        summary = MetricsSummary(nodes={"a": {"frames_tx": 3}})
+        text = summary_to_prometheus(summary,
+                                     extra_labels={"spec": "exp4#0"})
+        assert 'repro_frames_tx_total{node="a",spec="exp4#0"} 3' in text
+
+    def test_label_values_are_escaped(self):
+        summary = MetricsSummary(nodes={'say "hi"\\now\n': {"frames_tx": 1}})
+        text = summary_to_prometheus(summary)
+        assert 'node="say \\"hi\\"\\\\now\\n"' in text
+        assert "\n\"" not in text  # no raw newline inside a label value
 
     def test_report_exposition_labels_by_spec(self):
         from repro.experiments.campaign import Campaign, ScenarioSpec

@@ -1,44 +1,9 @@
-"""Tests for the metric primitives and their registry."""
+"""Tests for the histogram metric primitive."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-
-
-class TestCounter:
-    def test_increments(self):
-        counter = Counter("frames")
-        counter.inc()
-        counter.inc(3)
-        assert counter.value == 4
-
-    def test_cannot_decrease(self):
-        counter = Counter("frames")
-        with pytest.raises(ConfigurationError, match="cannot decrease"):
-            counter.inc(-1)
-
-    def test_to_dict(self):
-        counter = Counter("frames", (("node", "a"),))
-        counter.inc(2)
-        assert counter.to_dict() == {
-            "type": "counter", "name": "frames",
-            "labels": {"node": "a"}, "value": 2,
-        }
-
-
-class TestGauge:
-    def test_set(self):
-        gauge = Gauge("tec")
-        gauge.set(96)
-        assert gauge.value == 96
-        gauge.set(0)
-        assert gauge.value == 0
+from repro.obs.metrics import Histogram
 
 
 class TestHistogram:
@@ -64,39 +29,3 @@ class TestHistogram:
         histogram.observe(3)
         clone = Histogram.from_dict(histogram.to_dict())
         assert clone.to_dict() == histogram.to_dict()
-
-
-class TestRegistry:
-    def test_get_or_create_returns_same_object(self):
-        registry = MetricsRegistry()
-        first = registry.counter("frames", node="a")
-        second = registry.counter("frames", node="a")
-        assert first is second
-        assert len(registry) == 1
-
-    def test_labels_distinguish(self):
-        registry = MetricsRegistry()
-        a = registry.counter("frames", node="a")
-        b = registry.counter("frames", node="b")
-        assert a is not b
-        assert len(registry) == 2
-
-    def test_type_conflict_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("frames")
-        with pytest.raises(ConfigurationError, match="already registered"):
-            registry.gauge("frames")
-
-    def test_collect_is_sorted_and_stable(self):
-        registry = MetricsRegistry()
-        registry.counter("z")
-        registry.counter("a", node="b")
-        registry.counter("a", node="a")
-        names = [(m.name, m.labels) for m in registry.collect()]
-        assert names == sorted(names)
-
-    def test_get(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("frames", node="a")
-        assert registry.get("frames", node="a") is counter
-        assert registry.get("missing") is None

@@ -85,17 +85,6 @@ class TestBusProbe:
         sim.advance(300)
         assert probe.summary().events == 0
 
-    def test_shared_registry(self):
-        sim = quiet_bus()
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        probe = BusProbe(sim, registry=registry)
-        sim.node("a").send(CanFrame(0x123))
-        sim.advance(300)
-        assert probe.registry is registry
-        assert registry.get("frames_tx", node="a").value == 1
-
 
 class TestMetricsSummary:
     def test_round_trip(self):
