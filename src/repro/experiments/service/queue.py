@@ -84,8 +84,8 @@ class BoundedWorkQueue:
                 return self._items.pop(index)
         return None
 
-    def next_ready_at(self) -> Optional[float]:
-        """Earliest ``ready_at`` across queued items (``None`` if empty)."""
-        if not self._items:
-            return None
-        return min(item.ready_at for item in self._items)
+    def next_ready_at(self, after: float = float("-inf")) -> Optional[float]:
+        """Earliest ``ready_at`` later than ``after`` across queued items
+        (``None`` if there is none)."""
+        return min((item.ready_at for item in self._items
+                    if item.ready_at > after), default=None)

@@ -27,9 +27,10 @@ Guarantees:
   via ``store.write_failure``) warn loudly and cost only resumability,
   never results.
 
-The service is single-threaded and cooperative: call :meth:`pump`
-periodically (the asyncio front end does; :meth:`run_until_idle` wraps
-it for batch use).
+The service is single-threaded and cooperative: call :meth:`pump` when
+one of ``pool.waitables()`` turns readable, and at least every
+:meth:`wait_seconds` (the asyncio front end does; :meth:`run_until_idle`
+wraps it for batch use).
 """
 
 from __future__ import annotations
@@ -276,12 +277,23 @@ class CampaignService:
         """No queued work and no lease in flight."""
         return not self.queue and not self.pool.busy_slots()
 
+    def wait_seconds(self, cadence: float) -> float:
+        """How long a scheduler may wait for a worker between pumps:
+        ``cadence`` (the period of the lease-expiry and heartbeat-silence
+        checks), cut short by the earliest pending restart or retry
+        backoff, so that work is not held back past its due time."""
+        now = _time.monotonic()
+        due = [at for at in (self.pool.next_respawn_at(),
+                             self.queue.next_ready_at(after=now))
+               if at is not None]
+        return max(0.0, min([cadence] + [at - now for at in due]))
+
     def run_until_idle(self, poll_seconds: float = 0.02,
                        timeout: Optional[float] = None) -> bool:
         """Pump until idle; False when ``timeout`` elapsed first.
 
         Between pumps it waits for a worker message or exit, at most
-        ``poll_seconds`` (the cadence of lease-expiry and backoff checks).
+        :meth:`wait_seconds` of ``poll_seconds``.
         """
         deadline = (None if timeout is None
                     else _time.monotonic() + timeout)
@@ -291,7 +303,7 @@ class CampaignService:
                 return True
             if deadline is not None and _time.monotonic() > deadline:
                 return False
-            self.pool.wait_for_events(poll_seconds)
+            self.pool.wait_for_events(self.wait_seconds(poll_seconds))
 
     # ----------------------------------------------------- event handling
 

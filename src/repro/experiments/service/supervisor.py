@@ -15,8 +15,8 @@ Liveness is layered:
   ``("heartbeat", key, elapsed)`` messages while a spec is in flight —
   the supervisor forwards them to the telemetry channel (PR 7's
   ``repro campaign watch`` renders them) and tracks last-seen times;
-* a worker whose **process died** is detected immediately
-  (``Process.is_alive``);
+* a worker whose **process died** is detected as soon as its process
+  sentinel turns readable (see :meth:`WorkerPool.waitables`);
 * a worker that stops heartbeating (wedged interpreter, SIGSTOP) or
   holds a **lease past its expiry** is presumed hung: the supervisor
   terminates it so its lease can be stolen.
@@ -242,6 +242,11 @@ class WorkerPool:
                     and slot.respawn_at <= now):
                 self._spawn(slot)
 
+    def next_respawn_at(self) -> Optional[float]:
+        """When the earliest pending restart is due (``None`` if none)."""
+        return min((slot.respawn_at for slot in self.slots
+                    if slot.proc is None and not slot.retired), default=None)
+
     def _schedule_restart(self, slot: WorkerSlot, now: float) -> None:
         slot.proc = None
         slot.conn = None
@@ -344,17 +349,25 @@ class WorkerPool:
                 self._schedule_restart(slot, now)
         return events
 
+    def waitables(self) -> List[Tuple[int, Any]]:
+        """``(fd, owner)`` for every live parent pipe end and process
+        sentinel: the fds that turn readable when a worker has a message
+        or has exited.  The owner (the ``Connection`` or the ``Process``)
+        keeps the fd open for as long as a caller holds it."""
+        fds: List[Tuple[int, Any]] = []
+        for slot in self.slots:
+            if slot.conn is not None:
+                fds.append((slot.conn.fileno(), slot.conn))
+            if slot.proc is not None:
+                fds.append((slot.proc.sentinel, slot.proc))
+        return fds
+
     def wait_for_events(self, timeout: float) -> None:
         """Block until a worker pipe has data or a worker exits, at most
         ``timeout`` seconds (a batch caller's sleep between pumps)."""
-        waitables = []
-        for slot in self.slots:
-            if slot.conn is not None:
-                waitables.append(slot.conn)
-            if slot.proc is not None:
-                waitables.append(slot.proc.sentinel)
-        if waitables:
-            wait_ready(waitables, timeout)
+        fds = [fd for fd, _ in self.waitables()]
+        if fds:
+            wait_ready(fds, timeout)
         else:
             _time.sleep(timeout)
 

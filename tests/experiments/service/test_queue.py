@@ -42,6 +42,7 @@ def test_pop_ready_honours_backoff():
     assert item.key == "fresh" and item.attempt == 1
     assert queue.pop_ready(now=0.0) is None
     assert queue.next_ready_at() == 10.0
+    assert queue.next_ready_at(after=10.0) is None
     item = queue.pop_ready(now=10.0)
     assert item.key == "later" and item.attempt == 2
     assert not queue

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.campaign import ScenarioSpec
 from repro.experiments.service.server import (
     REPLY_CHUNK_BYTES,
@@ -132,26 +133,30 @@ SERVE_SNIPPET = """\
 import sys
 sys.path.insert(0, {src!r})
 from repro.experiments.service import CampaignService, ServiceServer
-service = CampaignService({journal!r}, n_workers=1, heartbeat_seconds=0.1)
-ServiceServer(service, {sock!r}).run()
+service = CampaignService({journal!r}, n_workers={workers},
+                          heartbeat_seconds=0.1)
+ServiceServer(service, {sock!r}, pump_seconds={pump}).run()
 print("DRAINED", len(service.report().records))
 """
 
 
-def start_serve(tmp_path):
+def start_serve(tmp_path, pump_seconds=0.02, workers=1):
     src = os.path.join(os.getcwd(), "src")
     sock = str(tmp_path / "svc.sock")
     journal = str(tmp_path / "journal.jsonl")
     proc = subprocess.Popen(
         [sys.executable, "-c",
-         SERVE_SNIPPET.format(src=src, journal=journal, sock=sock)],
+         SERVE_SNIPPET.format(src=src, journal=journal, sock=sock,
+                              workers=workers, pump=pump_seconds)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
-        if os.path.exists(sock):
+        try:  # the socket file exists a moment before it listens
+            request(sock, {"op": "ping"})
             return proc, sock
-        if proc.poll() is not None:
-            break
+        except ConfigurationError:
+            if proc.poll() is not None:
+                break
         time.sleep(0.05)
     out = proc.communicate()[0]
     raise AssertionError(f"serve never opened its socket: {out}")
@@ -182,6 +187,96 @@ def test_socket_round_trip_and_sigterm_drain(tmp_path):
     assert not os.path.exists(sock), "drain removes the socket"
 
 
+def wait_for_status(sock, done, timeout):
+    """Poll ``status`` until ``done(status)`` holds; returns the status."""
+    deadline = time.monotonic() + timeout
+    while True:
+        status = request(sock, {"op": "status"})["status"]
+        if done(status) or time.monotonic() > deadline:
+            return status
+        time.sleep(0.05)
+
+
+def cpu_seconds(pid):
+    """User + system CPU of ``pid`` so far, from ``/proc/<pid>/stat``."""
+    with open(f"/proc/{pid}/stat") as handle:
+        fields = handle.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def test_workers_and_requests_wake_the_scheduler_not_the_cadence(tmp_path):
+    """With a 30 s cadence, only the wake-ups (a submit, a worker's
+    result, SIGTERM) can get two specs done and drained in time."""
+    proc, sock = start_serve(tmp_path, pump_seconds=30)
+    started = time.monotonic()
+    try:
+        request(sock, {"op": "submit",
+                       "specs": [good_spec(seed=s).to_dict()
+                                 for s in range(2)]})
+        status = wait_for_status(sock, lambda st: st["completed"] == 2, 10)
+        assert status["completed"] == 2
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    assert time.monotonic() - started < 10
+    assert proc.returncode == 0
+    assert "DRAINED 2" in out
+
+
+def test_killed_worker_is_heard_and_its_spec_lands_on_the_new_one(
+        tmp_path):
+    """SIGKILL the busy worker under a 30 s cadence: the sentinel must
+    wake the loop, and the respawned worker's fds must be watched, for
+    the requeued spec to finish before the test gives up."""
+    proc, sock = start_serve(tmp_path, pump_seconds=30)
+    try:
+        spec = ScenarioSpec("exp4", seed=0, duration_bits=1_000_000)
+        request(sock, {"op": "submit", "specs": [spec.to_dict()]})
+        status = wait_for_status(
+            sock, lambda st: st["workers"][0]["state"] == "busy", 10)
+        victim = status["workers"][0]["pid"]
+        assert status["workers"][0]["state"] == "busy"
+        os.kill(victim, signal.SIGKILL)
+        status = wait_for_status(sock, lambda st: st["completed"] == 1, 20)
+        assert status["completed"] == 1 and status["failed"] == 0
+        assert status["workers"][0]["restarts"] == 1
+        assert status["workers"][0]["pid"] != victim
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    assert proc.returncode == 0
+    assert "DRAINED 1" in out
+
+
+def test_an_idle_server_does_not_spin(tmp_path):
+    """A restarted slot leaves a dead sentinel and an EOF pipe behind;
+    a reader left on either is always ready and would spin the loop."""
+    proc, sock = start_serve(tmp_path, workers=2)
+    try:
+        status = wait_for_status(
+            sock, lambda st: all(w["state"] == "idle"
+                                 for w in st["workers"]), 10)
+        victim = status["workers"][0]["pid"]
+        os.kill(victim, signal.SIGKILL)
+        status = wait_for_status(
+            sock, lambda st: st["workers"][0]["restarts"] == 1
+            and st["workers"][0]["state"] == "idle", 10)
+        assert status["workers"][0]["pid"] != victim
+        before = cpu_seconds(proc.pid)
+        time.sleep(1.0)
+        assert cpu_seconds(proc.pid) - before < 0.2
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+
+
 def test_undecodable_request_line_gets_a_structured_reply(tmp_path):
     proc, sock = start_serve(tmp_path)
     try:
@@ -202,7 +297,5 @@ def test_undecodable_request_line_gets_a_structured_reply(tmp_path):
 
 
 def test_client_refuses_cleanly_when_no_service_listens(tmp_path):
-    from repro.errors import ConfigurationError
-
     with pytest.raises(ConfigurationError, match="repro serve"):
         request(str(tmp_path / "nothing.sock"), {"op": "ping"})

@@ -258,6 +258,24 @@ def test_journal_write_failures_degrade_gracefully(tmp_path):
 
 # ------------------------------------------------------------------ status
 
+def test_wait_seconds_ends_at_the_next_backoff(tmp_path):
+    import time
+
+    service = make_service(tmp_path, n_workers=1)
+    slot = service.pool.slots[0]
+    slot.retired = True  # no restart pending
+    assert service.wait_seconds(30.0) == 30.0
+    service.queue.submit(["fresh"])  # ready now: a result will wake us
+    assert service.wait_seconds(30.0) == 30.0
+    service.queue.requeue("retry", attempt=2,
+                          ready_at=time.monotonic() + 0.5)
+    assert 0.0 < service.wait_seconds(30.0) <= 0.5
+    slot.retired = False
+    slot.respawn_at = time.monotonic() + 0.1  # proc is None: restarting
+    assert 0.0 < service.wait_seconds(30.0) <= 0.1
+    assert service.wait_seconds(0.02) == 0.02
+
+
 def test_status_snapshot_is_json_safe(tmp_path):
     import json
 

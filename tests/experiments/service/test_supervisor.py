@@ -90,6 +90,27 @@ def test_killed_worker_surfaces_one_died_event_with_the_orphaned_key(pool):
         pool.tick_restarts(time.monotonic()) or slot.alive))
 
 
+def test_waitables_follow_restarts(pool):
+    """The fds a scheduler sleeps on are each live slot's pipe end and
+    sentinel, owned by the current generation."""
+    slot = pool.slots[0]
+    old_conn, old_proc = slot.conn, slot.proc
+    assert dict(pool.waitables()) == {
+        fd: owner for s in pool.slots
+        for fd, owner in ((s.conn.fileno(), s.conn),
+                          (s.proc.sentinel, s.proc))}
+    os.kill(old_proc.pid, signal.SIGKILL)
+    pool.wait_for_events(10.0)  # the sentinel wakes it
+    assert wait_for(lambda: any(e.kind == "died" for e in pool.poll()))
+    owners = [owner for _, owner in pool.waitables()]
+    assert old_conn not in owners and old_proc not in owners
+    assert len(owners) == 2
+    assert wait_for(lambda: (
+        pool.tick_restarts(time.monotonic()) or slot.alive))
+    owners = [owner for _, owner in pool.waitables()]
+    assert slot.conn in owners and slot.proc in owners
+
+
 def test_restart_budget_retires_a_slot():
     pool = WorkerPool(1, heartbeat_seconds=0.1,
                       restart_backoff_seconds=0.0, max_worker_restarts=1)
