@@ -102,7 +102,7 @@ def run_serve_front_end(specs, workdir):
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 30
-        while True:  # the socket file exists a moment before it listens
+        while True:  # until serve answers
             try:
                 request(sock, {"op": "ping"})
                 break

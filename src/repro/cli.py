@@ -1058,7 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="replay specs already done in the --checkpoint "
                          "journal and run the rest")
     cp.add_argument("--flight-dir", default=None, metavar="DIR",
-                    help="record per-spec flight-recorder dumps here "
+                    help="record per-spec flight-recorder logs here "
                          "(post-mortems for crashed/timed-out workers)")
     cp.add_argument("--telemetry", action="store_true",
                     help="stream live progress/heartbeat lines into "
@@ -1128,7 +1128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-restarts", type=int, default=3, metavar="N",
                    help="per-worker-slot restart budget (default: 3)")
     p.add_argument("--flight-dir", default=None, metavar="DIR",
-                   help="record per-spec flight-recorder dumps here")
+                   help="record per-spec flight-recorder logs here")
     p.add_argument("--telemetry", action="store_true",
                    help="stream live progress into the journal (render "
                         "with `repro campaign watch <journal>`)")
@@ -1220,8 +1220,8 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--limit", type=int, default=40,
                     help="spans to print without --output (default: 40)")
     tp = trace_sub.add_parser(
-        "postmortem", help="render a flight-recorder dump")
-    tp.add_argument("dump", help="a .flight.json dump or flight log")
+        "postmortem", help="render a flight-recorder log")
+    tp.add_argument("dump", help="a .flight.json flight log")
     tp.add_argument("--events", type=int, default=20,
                     help="recorded events to show (default: 20)")
     tp.add_argument("--svg", default=None, metavar="FILE",

@@ -51,7 +51,7 @@ from repro.faults.plan import FaultPlan
 
 #: Bump when the report dict layout changes incompatibly.
 #: v2: reports carry a ``failures`` list; specs carry a ``faults`` plan.
-#: v3: records and failures carry optional flight-recorder dumps.
+#: v3: failures carry optional flight-recorder dumps (a record's is ignored).
 SCHEMA_VERSION = 3
 
 #: A factory takes keyword params and returns an object with
@@ -227,7 +227,7 @@ def spec_digest(spec: ScenarioSpec) -> str:
 
 
 def flight_dump_path(flight_dir: Optional[str], key: str) -> Optional[str]:
-    """Where the spec with journal ``key`` keeps its flight dump."""
+    """Where the spec with journal ``key`` keeps its flight log."""
     if flight_dir is None:
         return None
     return os.path.join(flight_dir, f"{key[:16]}.flight.json")
@@ -261,8 +261,6 @@ class RunRecord:
     worker: str
     snapshots: List[Dict[str, Any]] = field(default_factory=list)
     spawn_overhead_seconds: float = 0.0
-    #: Final flight-recorder dump, when the campaign ran with ``flight_dir``.
-    flight: Optional[Dict[str, Any]] = None
     #: Runtime-only replay marker; never serialized (see class docstring).
     cache_hit: bool = False
 
@@ -275,7 +273,6 @@ class RunRecord:
             "worker": self.worker,
             "snapshots": [dict(snapshot) for snapshot in self.snapshots],
             "spawn_overhead_seconds": self.spawn_overhead_seconds,
-            "flight": None if self.flight is None else dict(self.flight),
         }
 
     @classmethod
@@ -288,7 +285,6 @@ class RunRecord:
             worker=data.get("worker", ""),
             snapshots=list(data.get("snapshots", [])),
             spawn_overhead_seconds=data.get("spawn_overhead_seconds", 0.0),
-            flight=data.get("flight"),
         )
 
 
@@ -317,9 +313,9 @@ class RunFailure:
     attempts: int
     wall_seconds: float = 0.0
     worker: str = ""
-    #: The crashed worker's last flight-recorder dump (``flight_dir`` runs).
+    #: The crashed worker's flight log, folded (``flight_dir`` runs).
     flight: Optional[Dict[str, Any]] = None
-    #: On-disk path of that dump, for ``repro trace postmortem``.
+    #: On-disk path of that log, for ``repro trace postmortem``.
     flight_path: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
@@ -553,9 +549,9 @@ def execute_spec(spec: ScenarioSpec,
 
     With ``flight_path`` a :class:`~repro.obs.flight.FlightRecorder` rides
     the run, appending its event log there so it survives hard crashes;
-    an aborting exception (injected faults included) appends a final
-    checkpoint before propagating, and a clean finish replaces the log
-    with the complete dump.
+    the run ends the log with a ``complete`` checkpoint, or with an
+    ``abort`` one before an exception (injected faults included)
+    propagates.  The record does not carry the log.
     """
     setup = spec.build()
     probe = recorder = flight = None
@@ -582,6 +578,8 @@ def execute_spec(spec: ScenarioSpec,
     started = _time.perf_counter()
     try:
         result = setup.run(config=spec.run_config())
+        if flight is not None:
+            flight.flush(reason="complete")
     except BaseException:
         if flight is not None:
             flight.flush(reason="abort")
@@ -596,12 +594,6 @@ def execute_spec(spec: ScenarioSpec,
     if probe is not None:
         result.metrics = probe.summary()
         probe.close()
-    flight_dump = None
-    if flight is not None:
-        from repro.obs.flight import write_dump
-
-        flight_dump = flight.dump(reason="complete")
-        write_dump(flight_dump, flight_path)
     record = RunRecord(
         spec=spec,
         result=result,
@@ -609,23 +601,22 @@ def execute_spec(spec: ScenarioSpec,
         steps_per_second=steps / wall if wall > 0 else 0.0,
         worker=current_process().name,
         snapshots=list(recorder.snapshots) if recorder is not None else [],
-        flight=flight_dump,
     )
     if sim is not None:
         sim.release_records()  # folded into the record; free it now
     return record
 
 
-def _load_flight_dump(path: Optional[str]) -> Optional[Dict[str, Any]]:
-    """Best-effort load of a worker's on-disk dump (None when absent)."""
-    if not path or not os.path.exists(path):
-        return None
+def _flight_evidence(path: Optional[str]) -> Dict[str, Any]:
+    """A failure's ``flight``/``flight_path`` fields: the worker's log,
+    folded best-effort (no dump when it is absent, torn or foreign)."""
     from repro.obs.flight import load_dump
 
     try:
-        return load_dump(path)
-    except (OSError, ValueError, ConfigurationError, json.JSONDecodeError):
-        return None  # half-written or foreign file: no post-mortem
+        dump = load_dump(path) if path else None
+    except (OSError, ValueError, ConfigurationError):
+        dump = None
+    return {"flight": dump, "flight_path": path or ""}
 
 
 class Campaign:
@@ -660,7 +651,7 @@ class Campaign:
             happens, and :meth:`run` with ``resume=True`` replays the
             specs the journal already completed and re-runs the rest.
         flight_dir: Optional directory; every spec runs with a flight
-            recorder autoflushing its dump to
+            recorder appending its log to
             ``<flight_dir>/<key[:16]>.flight.json`` (``key`` is
             :func:`spec_digest`), so crashed, hung and fault-aborted
             workers leave a post-mortem the report attaches to the
@@ -848,9 +839,7 @@ class Campaign:
                         spec=spec, kind="error",
                         error=f"{type(exc).__name__}: {exc}",
                         attempts=attempt, wall_seconds=wall,
-                        worker=worker,
-                        flight=_load_flight_dump(flight_path),
-                        flight_path=flight_path or "")
+                        worker=worker, **_flight_evidence(flight_path))
                     failures[index] = failure
                     if telemetry is not None:
                         telemetry.spec_finished(spec.name, attempt, worker,

@@ -42,6 +42,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError, ReproError
@@ -283,14 +284,30 @@ class ServiceServer:
         self._shutdown = True
         self._wake.set()
 
+    def _listening_socket(self) -> socket.socket:
+        """A socket already listening when its path appears: bound to a
+        temporary name in the same directory, then renamed over
+        ``socket_path`` (replacing a stale socket from a dead serve)."""
+        tmp = os.path.join(os.path.dirname(self.socket_path),
+                           f".{os.getpid():x}")
+        if os.path.exists(tmp):
+            os.unlink(tmp)  # left by a killed serve with this pid
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.bind(tmp)
+            sock.listen(100)
+            os.replace(tmp, self.socket_path)
+        except OSError:
+            sock.close()
+            raise
+        return sock
+
     async def serve(self) -> None:
         """Run until drained (signal, ``drain`` op, or idle-exit)."""
-        if os.path.exists(self.socket_path):
-            os.unlink(self.socket_path)  # stale socket from a dead serve
         self._install_signal_handlers()
         self.service.start()
         self._server = await asyncio.start_unix_server(
-            self._handle_client, path=self.socket_path,
+            self._handle_client, sock=self._listening_socket(),
             limit=MAX_REQUEST_BYTES)
         pump = asyncio.ensure_future(self._pump_forever())
         try:
@@ -321,9 +338,7 @@ def request(socket_path: str, payload: Dict[str, Any],
     Used by ``repro campaign submit`` / ``status`` — plain blocking
     socket I/O so clients stay free of asyncio.
     """
-    import socket as _socket
-
-    with _socket.socket(_socket.AF_UNIX, _socket.SOCK_STREAM) as sock:
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
         sock.settimeout(timeout)
         try:
             sock.connect(os.fspath(socket_path))

@@ -45,7 +45,7 @@ from repro.experiments.campaign import (
     RunFailure,
     RunRecord,
     ScenarioSpec,
-    _load_flight_dump,
+    _flight_evidence,
     flight_dump_path,
     scenario_factory,
     spec_digest,
@@ -85,7 +85,7 @@ class CampaignService:
             ``"timeout"``) and its flight dump attached.
         restart_backoff_seconds / max_worker_restarts: Worker restart
             policy (see :class:`WorkerPool`).
-        flight_dir: Per-spec flight-recorder dumps land here.
+        flight_dir: Per-spec flight-recorder logs land here.
         telemetry: Stream live telemetry lines over the journal.
         result_cache: Optional content-addressed
             :class:`~repro.experiments.resultcache.ResultCache`; hits
@@ -330,8 +330,7 @@ class CampaignService:
                     spec=self._specs[event.key], kind="error",
                     error=str(event.payload), attempts=attempt,
                     wall_seconds=event.held_seconds, worker=event.worker,
-                    flight=_load_flight_dump(self._flight_path(event.key)),
-                    flight_path=self._flight_path(event.key) or ""))
+                    **_flight_evidence(self._flight_path(event.key))))
         elif event.kind == "died":
             if event.key is not None and not self._settled(event.key):
                 self._worker_killed(
@@ -362,8 +361,7 @@ class CampaignService:
                 error=(f"quarantined after {kills} kill(s); "
                        f"last: {reason}"),
                 attempts=attempt, wall_seconds=wall, worker=worker,
-                flight=_load_flight_dump(self._flight_path(key)),
-                flight_path=self._flight_path(key) or ""))
+                **_flight_evidence(self._flight_path(key))))
         else:
             self._requeue(key, attempt + 1, now, reason=kind)
 

@@ -153,7 +153,6 @@ class WorkerSlot:
         #: Journal key of the leased spec (None = idle).
         self.busy_key: Optional[str] = None
         self.attempt = 0
-        self.flight_path: Optional[str] = None
         self.leased_at = 0.0
         self.last_seen = 0.0
         self.restarts = 0
@@ -285,7 +284,6 @@ class WorkerPool:
             return False
         slot.busy_key = key
         slot.attempt = attempt
-        slot.flight_path = flight_path
         slot.leased_at = now
         slot.last_seen = now
         return True
@@ -331,7 +329,6 @@ class WorkerPool:
                     held = 0.0
                     if key == slot.busy_key:
                         slot.busy_key = None
-                        slot.flight_path = None
                         held = now - slot.leased_at
                     events.append(WorkerEvent(
                         kind, slot.name, key=key, payload=message[2],

@@ -21,8 +21,8 @@ writes while the run is alive, so that its log survives a crash:
 * :mod:`repro.obs.tracing` — causal per-frame lifecycle spans built from
   the recorded events, exported as JSONL or Chrome ``trace_event`` JSON
   (Perfetto-loadable);
-* :mod:`repro.obs.flight` — a crash flight recorder keeping a bounded
-  ring of recent events and node state for post-mortem dumps.
+* :mod:`repro.obs.flight` — a crash flight recorder appending recent
+  events and node-state checkpoints to a log for post-mortems.
 """
 
 from repro.obs.export import report_to_prometheus, summary_to_prometheus

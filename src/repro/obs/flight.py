@@ -1,24 +1,20 @@
-"""Crash flight recorder: the last milliseconds of a run, dump-ready.
+"""Crash flight recorder: the last milliseconds of a run, on disk.
 
 When a campaign worker dies — an injected fault raising mid-run, a hard
 ``os._exit`` crash, or the parent terminating it on timeout — the
 aggregate report says only *that* it died.  :class:`FlightRecorder`
-preserves *why*: a bounded ring of the most recent events, the final
-TEC/REC/controller state per node, the fast-forward counters and the
-tail of the recorded wire, all frozen into a JSON dump the campaign
-engine attaches to the :class:`~repro.experiments.campaign.RunFailure`
-(``repro trace postmortem <dump>`` renders it).
-
-Crash survival: with an ``autoflush_path`` the recorder keeps an
-append-only JSONL *log* there — a header line, then one line per event,
-each encoded once.  Lines reach the OS every ``flush_every`` events, so a
-hard crash (``os._exit``, which runs no handlers) loses at most that
-many.  :meth:`FlightRecorder.flush` appends a *checkpoint* line (time,
-node states, fast-forward counters, wire tail) for the start, abort and
-timeout routes.  Once the log holds ``ROTATE_FACTOR`` rings' worth of
-lines it is rewritten atomically from the header, the ring and the last
-checkpoint, so it stays bounded over any run.  :func:`load_dump` folds a
-log into the same dict :meth:`FlightRecorder.dump` returns.
+preserves *why* in one append-only JSONL *log* at ``autoflush_path``: a
+header line, then one line per event, each encoded once, reaching the OS
+every ``flush_every`` events (a hard crash loses at most that many).
+:meth:`FlightRecorder.flush` appends a *checkpoint* line (reason, time,
+node states, fast-forward counters, wire tail) for the start, abort,
+timeout and complete routes.  Once the log holds ``ROTATE_FACTOR``
+rings' worth of lines it is rewritten atomically from the header, the
+ring and the last checkpoint, so it stays bounded over any run.
+:func:`load_dump` folds a log into a dump dict, which the campaign
+engine attaches to a :class:`~repro.experiments.campaign.RunFailure` and
+``repro trace postmortem`` renders; :meth:`FlightRecorder.dump` is the
+same fold over the recorder's ring and a live checkpoint.
 
 The event callback reads only the event it is handed and flushes by
 count, never by wall clock, so the recorder is ``@replay_safe``: the
@@ -34,7 +30,7 @@ import os
 from collections import deque
 from dataclasses import fields as dataclass_fields
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
-                    Optional, Tuple, Union)
+                    Optional, Sequence, Tuple, Union)
 
 from repro.bus.events import Event
 from repro.bus.simulator import replay_safe
@@ -49,7 +45,7 @@ if TYPE_CHECKING:
 #: v2: an append-only event log; the periodic node samples are gone.
 FLIGHT_SCHEMA_VERSION = 2
 
-#: The dump's (and the log header's) format marker.
+#: The log header's (and a dump's) format marker.
 FLIGHT_KIND = "repro.obs.flight"
 
 #: Default bounded-ring capacities.
@@ -102,6 +98,13 @@ def _encode_value(value: Any) -> Any:
 _PLAIN = frozenset({type(None), bool, int, float, str})
 
 
+def _header(bus_speed: int, event_capacity: int) -> Dict[str, Any]:
+    """A log's first line (``format`` stays so that older builds read it)."""
+    return {"kind": FLIGHT_KIND, "schema_version": FLIGHT_SCHEMA_VERSION,
+            "format": "log", "bus_speed": bus_speed,
+            "event_capacity": event_capacity}
+
+
 def _text(lines: List[str]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -120,6 +123,7 @@ class FlightRecorder:
         event_capacity: Ring size for the most recent events.
         autoflush_path: When set, the recorder keeps its append-only log
             here (hard-crash survival); the header is written at once.
+            Without it the ring lives in memory only, for :meth:`dump`.
         flush_every: Event count between writes of the log's pending
             lines to the OS.
     """
@@ -139,9 +143,8 @@ class FlightRecorder:
         self.autoflush_path = (
             os.fspath(autoflush_path) if autoflush_path is not None else None)
         self.flush_every = flush_every
-        self._events: Deque[Dict[str, Any]] = deque(maxlen=event_capacity)
-        #: The ring's entries as log lines, without their newlines (what
-        #: a rotation rewrites).
+        #: The most recent events as log lines, without their newlines:
+        #: what :meth:`dump` folds and a rotation rewrites.
         self._lines: Deque[str] = deque(maxlen=event_capacity)
         #: Encoded event lines not yet handed to the OS.
         self._pending: List[str] = []
@@ -152,10 +155,7 @@ class FlightRecorder:
         self._checkpoint_line: Optional[str] = None
         self._fd: Optional[int] = None
         self._log_lines = 0
-        self._header = _encode_line({
-            "kind": FLIGHT_KIND, "schema_version": FLIGHT_SCHEMA_VERSION,
-            "format": "log", "bus_speed": sim.bus_speed,
-            "event_capacity": event_capacity})
+        self._head = _header(sim.bus_speed, event_capacity)
         if self.autoflush_path is not None:
             self._rewrite_log([])
         self._unsubscribe = sim.on_event(self._on_event)
@@ -180,12 +180,10 @@ class FlightRecorder:
 
     @replay_safe
     def _on_event(self, event: Event) -> None:
-        entry = self._encode_event(event)
-        self._events.append(entry)
+        line = _encode_line(self._encode_event(event))
+        self._lines.append(line)
         if self._fd is None:
             return
-        line = _encode_line(entry)
-        self._lines.append(line)
         self._pending.append(line)
         self._since_checkpoint += 1
         if len(self._pending) >= self.flush_every:
@@ -224,7 +222,7 @@ class FlightRecorder:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND,
                      0o644)
         try:
-            _write_all(fd, _text([self._header, *lines]))
+            _write_all(fd, _text([_encode_line(self._head), *lines]))
             os.replace(tmp, path)
         except BaseException:
             os.close(fd)
@@ -252,15 +250,16 @@ class FlightRecorder:
             nodes[node.name] = entry
         return nodes
 
-    def _state(self) -> Dict[str, Any]:
-        """Live simulator state: what a checkpoint and a dump share."""
+    def _checkpoint(self, reason: str) -> str:
+        """A checkpoint line: ``reason`` plus the live simulator state."""
         sim = self.sim
         wire = sim.wire
         history = wire.history
         tail = (history[-DEFAULT_WIRE_TAIL_BITS:] if isinstance(history, list)
                 else list(history)[-DEFAULT_WIRE_TAIL_BITS:])
         end_bit = wire.total_bits
-        return {
+        return _encode_line({
+            "checkpoint": reason,
             "time": sim.time,
             "nodes": self._node_states(),
             "ff_stats": sim.ff_stats.as_dict(),
@@ -270,19 +269,13 @@ class FlightRecorder:
                 "end_bit": end_bit,
                 "dropped_bits": wire.dropped_bits,
             },
-        }
+        })
 
     def dump(self, reason: str = "manual") -> Dict[str, Any]:
-        """Freeze the recorder's current state into a JSON-safe dump."""
-        dump = {
-            "kind": FLIGHT_KIND,
-            "schema_version": FLIGHT_SCHEMA_VERSION,
-            "reason": reason,
-            "bus_speed": self.sim.bus_speed,
-            "events": list(self._events),
-        }
-        dump.update(self._state())
-        return dump
+        """The recorder's current state as a JSON-safe dump: the fold of
+        :func:`load_dump`, over the ring and a live checkpoint."""
+        return _fold_log(self._head, [*self._lines, self._checkpoint(reason)],
+                         "<live recorder>")
 
     def flush(self, reason: str = "flush") -> Optional[str]:
         """Append the pending events and a ``reason`` checkpoint to the log.
@@ -290,12 +283,9 @@ class FlightRecorder:
         Writes through the raw file descriptor only, so the campaign's
         SIGTERM handler may call it in the middle of a bit.
         """
-        if self.autoflush_path is None or self._fd is None:
+        if self._fd is None:
             return None
-        checkpoint = {"checkpoint": reason}
-        checkpoint.update(self._state())
-        line = _encode_line(checkpoint)
-        self._checkpoint_line = line
+        self._checkpoint_line = line = self._checkpoint(reason)
         self._since_checkpoint = 0
         self._write_pending(line)
         return self.autoflush_path
@@ -308,8 +298,6 @@ class FlightRecorder:
         self._unsubscribe()
         self.closed = True
         if self._fd is not None:
-            # Never rotate here: the run's final dump may already have
-            # replaced the log at this path.
             fd, self._fd = self._fd, None
             pending, self._pending = self._pending, []
             if pending:
@@ -320,37 +308,53 @@ class FlightRecorder:
 # --------------------------------------------------------------- dump I/O
 
 def write_dump(dump: Dict[str, Any], path: PathLike) -> str:
-    """Write a dump atomically (temp file + rename); returns the path."""
+    """Write ``dump`` atomically (temp file + rename) as the log
+    :func:`load_dump` folds back to it: header, events, then a checkpoint
+    with the reason and final state; returns the path."""
+    head = _header(dump["bus_speed"], max(1, len(dump["events"])))
+    checkpoint = {"checkpoint": dump["reason"], **{
+        key: dump[key] for key in ("time", "nodes", "ff_stats", "wire_tail")}}
     target = os.fspath(path)
-    tmp = target + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(dump, sort_keys=True) + "\n")
-    os.replace(tmp, target)
+    with open(target + ".tmp", "wb") as handle:
+        handle.write(_text([_encode_line(line)
+                            for line in (head, *dump["events"], checkpoint)]))
+    os.replace(target + ".tmp", target)
     return target
 
 
-def _decode(line: str) -> Any:
+def _decode(line: Union[str, bytes]) -> Any:
     try:
         return json.loads(line)
-    except (ValueError, RecursionError):  # torn, foreign or too deep
+    except (ValueError, RecursionError):  # torn, foreign, undecodable or deep
         return None
 
 
-def _check_dump(dump: Dict[str, Any], name: str) -> Dict[str, Any]:
-    """The container types :func:`render_dump` relies on."""
-    shape: Tuple[Tuple[str, type], ...] = (
-        ("events", list), ("nodes", dict), ("ff_stats", dict),
-        ("wire_tail", dict))
-    for key, kind in shape:
-        if not isinstance(dump.get(key, kind()), kind):
-            raise ConfigurationError(
-                f"flight dump {name!r}: {key!r} is not a {kind.__name__}")
-    if not all(isinstance(entry, dict) for entry in dump.get("events", [])) \
-            or not all(isinstance(entry, dict)
-                       for entry in dump.get("nodes", {}).values()):
+def _check_checkpoint(entry: Dict[str, Any], where: str) -> Dict[str, Any]:
+    """The types a dump's readers compute with; returns a copy of the
+    node states.  (``type`` checks refuse ``bool`` as a number.)"""
+    nodes = entry.get("nodes")
+    if not isinstance(nodes, dict) or not all(
+            isinstance(node, dict) for node in nodes.values()):
+        raise ConfigurationError(f"{where} has malformed node states")
+    time = entry.get("time")
+    if type(time) is not int or time < 0:
+        raise ConfigurationError(f"{where} has a malformed time")
+    stats = entry.get("ff_stats", {})
+    if not isinstance(stats, dict) or not all(
+            type(value) in (int, float) or (isinstance(value, dict) and all(
+                type(count) in (int, float) for count in value.values()))
+            for value in stats.values()):
         raise ConfigurationError(
-            f"flight dump {name!r}: malformed event or node entry")
-    return dump
+            f"{where} has malformed fast-forward counters")
+    tail = entry.get("wire_tail", {})
+    levels = tail.get("levels", []) if isinstance(tail, dict) else None
+    if not isinstance(levels, list) \
+            or not all(type(level) is int and level in (0, 1)
+                       for level in levels) \
+            or not all(type(tail.get(key, 0)) is int
+                       for key in ("start_bit", "end_bit", "dropped_bits")):
+        raise ConfigurationError(f"{where} has a malformed wire tail")
+    return {key: dict(node) for key, node in nodes.items()}
 
 
 #: Logged events that move a node's state past its last checkpoint.
@@ -376,12 +380,13 @@ def _apply_state_event(nodes: Dict[str, Any], entry: Dict[str, Any]) -> None:
         node.update(state="idle")
 
 
-def _fold_log(head: Dict[str, Any], body: List[str],
+def _fold_log(head: Dict[str, Any], body: Sequence[Union[str, bytes]],
               name: str) -> Dict[str, Any]:
     """One pass over a log: the dump its recorder would have returned."""
     capacity = head.get("event_capacity")
-    if not isinstance(capacity, int) or isinstance(capacity, bool) \
-            or capacity <= 0:
+    bus_speed = head.get("bus_speed")
+    if type(capacity) is not int or capacity <= 0 \
+            or type(bus_speed) is not int or bus_speed <= 0:
         raise ConfigurationError(
             f"flight log {name!r} has a malformed header")
     events: Deque[Dict[str, Any]] = deque(maxlen=capacity)
@@ -396,61 +401,46 @@ def _fold_log(head: Dict[str, Any], body: List[str],
             raise ConfigurationError(
                 f"flight log {name!r}: line {number} is not a log entry")
         if "checkpoint" in entry:
+            nodes = _check_checkpoint(
+                entry, f"flight log {name!r}: line {number}")
             checkpoint = entry
-            nodes = checkpoint.get("nodes")
-            if not isinstance(nodes, dict) or not all(
-                    isinstance(node, dict) for node in nodes.values()):
-                raise ConfigurationError(
-                    f"flight log {name!r}: line {number} has malformed "
-                    f"node states")
-            nodes = {key: dict(node) for key, node in nodes.items()}
             after = 0
         else:
             events.append(entry)
             _apply_state_event(nodes, entry)
             after += 1
-    times = [value for value in (
-        checkpoint.get("time"), events[-1].get("time") if events else None)
-        if isinstance(value, int)]
-    reason = checkpoint.get("checkpoint") if checkpoint and not after \
-        else "autoflush"
-    return _check_dump({
+    last = events[-1].get("time") if events else None
+    return {
         "kind": FLIGHT_KIND,
         "schema_version": FLIGHT_SCHEMA_VERSION,
-        "reason": reason,
-        "time": max(times, default=0),
-        "bus_speed": head.get("bus_speed"),
+        "reason": (checkpoint.get("checkpoint") if checkpoint and not after
+                   else "autoflush"),
+        "time": max(checkpoint.get("time", 0),
+                    last if type(last) is int else 0),
+        "bus_speed": bus_speed,
         "events": list(events),
         "nodes": nodes,
         "ff_stats": checkpoint.get("ff_stats", {}),
         "wire_tail": checkpoint.get("wire_tail", {}),
-    }, name)
+    }
 
 
 def load_dump(path: PathLike) -> Dict[str, Any]:
-    """Load a dump or fold a log, validating the format marker and the
-    schema version; anything else raises :class:`ConfigurationError`."""
+    """Fold the flight log at ``path`` into a dump, validating the format
+    marker, the schema version and every field a reader computes with;
+    anything else raises :class:`ConfigurationError`."""
     name = os.fspath(path)
-    try:
-        with open(name, encoding="utf-8") as handle:
-            text = handle.read()
-    except UnicodeDecodeError:
-        raise ConfigurationError(
-            f"{name!r} is not a flight-recorder dump") from None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    with open(name, "rb") as handle:
+        lines = handle.read().splitlines()  # bytes: each line decodes alone
     head = _decode(lines[0]) if lines else None
     if not isinstance(head, dict) or head.get("kind") != FLIGHT_KIND:
-        raise ConfigurationError(f"{name!r} is not a flight-recorder dump")
+        raise ConfigurationError(f"{name!r} is not a flight-recorder log")
     version = head.get("schema_version")
     if version != FLIGHT_SCHEMA_VERSION:
         raise ConfigurationError(
-            f"flight dump {name!r} has schema version "
+            f"flight log {name!r} has schema version "
             f"{version!r}; this build reads version {FLIGHT_SCHEMA_VERSION}")
-    if head.get("format") == "log":
-        return _fold_log(head, lines[1:], name)
-    return _check_dump(head, name)
+    return _fold_log(head, lines[1:], name)
 
 
 # ----------------------------------------------------------------- render
@@ -460,13 +450,13 @@ def _format_event(entry: Dict[str, Any]) -> str:
     for key, value in sorted(entry.items()):
         if key in ("type", "time", "node"):
             continue
-        if isinstance(value, dict) and "can_id" in value:
+        if isinstance(value, dict) and type(value.get("can_id")) is int:
             value = f"0x{value['can_id']:03X}"
         elif isinstance(value, dict):
             value = json.dumps(value, sort_keys=True)
         extras.append(f"{key}={value}")
-    return (f"  t={entry.get('time', 0):>8} "
-            f"{entry.get('type', '?'):<20} {entry.get('node', ''):<14} "
+    return (f"  t={entry.get('time', 0)!s:>8} "
+            f"{entry.get('type', '?')!s:<20} {entry.get('node', '')!s:<14} "
             + " ".join(extras))
 
 
@@ -488,7 +478,7 @@ def render_dump(dump: Dict[str, Any], events: int = 20,
         lines.append(
             f"  {name:<14} state={str(node.get('state', '?')):<13} "
             f"{str(node.get('error_state', '')):<13} "
-            f"tec={node.get('tec', 0):<4} rec={node.get('rec', 0):<4}"
+            f"tec={node.get('tec', 0)!s:<4} rec={node.get('rec', 0)!s:<4}"
             + (f" firmware={phase}" if phase else ""))
     recorded = dump.get("events", [])
     shown = recorded[-events:]
@@ -506,7 +496,8 @@ def render_dump(dump: Dict[str, Any], events: int = 20,
                      else entry.get("new_state", "?"))
             rec = entry.get("rec")
             lines.append(
-                f"  t={entry.get('time', 0):>8} {entry.get('node', ''):<14} "
+                f"  t={entry.get('time', 0)!s:>8} "
+                f"{entry.get('node', '')!s:<14} "
                 f"{str(state):<13} tec={entry.get('tec', 0)}"
                 + (f" rec={rec}" if rec is not None else ""))
     tail = dump.get("wire_tail", {})

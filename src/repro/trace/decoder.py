@@ -21,6 +21,7 @@ from repro.can.constants import (
     RECESSIVE,
 )
 from repro.can.frame import CanFrame
+from repro.errors import ConfigurationError
 from repro.node.rxparser import RxEventKind, RxParser
 
 
@@ -75,8 +76,15 @@ class WireDecoder:
         overload condition.  When unsynchronized (start of capture without
         idle credit, or after a disturbance) the decoder waits for the full
         11-recessive idle pattern, like a controller integrating onto a
-        running bus.
+        running bus.  A level other than 0 or 1 raises
+        :class:`~repro.errors.ConfigurationError`.
         """
+        stray = next((index for index, level in enumerate(levels)
+                      if level not in (DOMINANT, RECESSIVE)), None)
+        if stray is not None:
+            raise ConfigurationError(
+                f"wire level {levels[stray]!r} at bit {stray} is neither "
+                f"dominant (0) nor recessive (1)")
         entries: List[DecodedEntry] = []
         index = 0
         recessive_run = (

@@ -53,6 +53,26 @@ def test_queued_leased_done_round_trip(tmp_path):
     assert state.is_settled(key)
 
 
+def test_a_done_line_whose_record_carries_a_flight_dump_loads(tmp_path):
+    """Journals written while records embedded their final flight dump
+    still replay; the dump is dropped."""
+    path = tmp_path / "j.jsonl"
+    journal = WorkJournal(str(path))
+    s = spec(seed=4)
+    key = spec_digest(s)
+    journal.record_queued(key, s)
+    record = run_record(s)
+    entry = {"type": "work", "schema_version": JOURNAL_SCHEMA_VERSION,
+             "state": "done", "key": key,
+             "record": dict(record.to_dict(),
+                            flight={"kind": "repro.obs.flight"})}
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(entry) + "\n")
+    loaded = journal.load().records[key]
+    assert not hasattr(loaded, "flight")
+    assert loaded.to_dict() == record.to_dict()
+
+
 def test_pending_lists_unsettled_keys_in_submission_order(tmp_path):
     journal = WorkJournal(str(tmp_path / "j.jsonl"))
     keys = []

@@ -127,6 +127,27 @@ def test_a_large_reply_goes_out_in_bounded_writes():
     assert max(map(len, writer.writes)) < REPLY_CHUNK_BYTES + 20_000
 
 
+def test_the_socket_listens_before_its_path_appears(server, monkeypatch):
+    """``listen`` runs before the path exists; a second start replaces the
+    first's (now dead) socket file and answers on it."""
+    listen = socket.socket.listen
+    seen = []
+
+    def recording_listen(sock, *args):
+        seen.append(os.path.exists(server.socket_path))
+        return listen(sock, *args)
+
+    monkeypatch.setattr(socket.socket, "listen", recording_listen)
+    for _ in range(2):
+        with server._listening_socket(), \
+                socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+            client.connect(server.socket_path)
+    assert seen == [False, True]
+    leftovers = [name for name in os.listdir(
+        os.path.dirname(server.socket_path)) if name.startswith(".")]
+    assert leftovers == []  # the temporary name was renamed away
+
+
 # ------------------------------------------------------- live socket runs
 
 SERVE_SNIPPET = """\
@@ -140,7 +161,7 @@ print("DRAINED", len(service.report().records))
 """
 
 
-def start_serve(tmp_path, pump_seconds=0.02, workers=1):
+def spawn_serve(tmp_path, pump_seconds=0.02, workers=1):
     src = os.path.join(os.getcwd(), "src")
     sock = str(tmp_path / "svc.sock")
     journal = str(tmp_path / "journal.jsonl")
@@ -149,9 +170,14 @@ def start_serve(tmp_path, pump_seconds=0.02, workers=1):
          SERVE_SNIPPET.format(src=src, journal=journal, sock=sock,
                               workers=workers, pump=pump_seconds)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    return proc, sock
+
+
+def start_serve(tmp_path, pump_seconds=0.02, workers=1):
+    proc, sock = spawn_serve(tmp_path, pump_seconds, workers)
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
-        try:  # the socket file exists a moment before it listens
+        try:
             request(sock, {"op": "ping"})
             return proc, sock
         except ConfigurationError:
@@ -160,6 +186,45 @@ def start_serve(tmp_path, pump_seconds=0.02, workers=1):
         time.sleep(0.05)
     out = proc.communicate()[0]
     raise AssertionError(f"serve never opened its socket: {out}")
+
+
+def stop_serve(proc):
+    proc.send_signal(signal.SIGTERM)
+    try:
+        return proc.communicate(timeout=30)[0]
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        raise
+
+
+def inode(path):
+    try:
+        return os.stat(path).st_ino
+    except FileNotFoundError:
+        return None
+
+
+def test_socket_path_appears_only_once_it_listens(tmp_path):
+    """The socket is renamed onto its path after ``listen``: a client that
+    waits only for the file is never refused, and a dead serve's stale
+    socket file is replaced rather than answered from."""
+    for start in range(3):
+        stale = None
+        if start % 2:  # a dead serve's socket file: bound, never listening
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as dead:
+                dead.bind(str(tmp_path / "svc.sock"))
+            stale = inode(tmp_path / "svc.sock")
+        proc, sock = spawn_serve(tmp_path)
+        try:
+            deadline = time.monotonic() + 30
+            while inode(sock) in (None, stale) and proc.poll() is None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert request(sock, {"op": "ping"})["pong"] is True
+        finally:
+            out = stop_serve(proc)
+        assert proc.returncode == 0, out
+        assert not os.path.exists(sock)
 
 
 def test_socket_round_trip_and_sigterm_drain(tmp_path):

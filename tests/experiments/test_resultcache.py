@@ -185,6 +185,22 @@ class TestDegradation:
         assert report.cache_hits() == 0
         assert len(report.records) == 1
 
+    def test_an_entry_whose_record_carries_a_flight_dump_hits(
+            self, manifest, tmp_path):
+        """Entries stored while records embedded their final flight dump
+        still replay, without the dump of that earlier run."""
+        spec, path = self._store_one(manifest, tmp_path)
+        with open(path, encoding="utf-8") as handle:
+            entry = json.load(handle)
+        stored = dict(entry["record"])
+        entry["record"]["flight"] = {"kind": "repro.obs.flight"}
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+        record = ResultCache(str(tmp_path), manifest).get(spec)
+        assert record is not None and record.cache_hit
+        assert not hasattr(record, "flight")
+        assert record.to_dict() == stored
+
     def test_version_skewed_entry_degrades_to_a_miss(self, manifest,
                                                      tmp_path):
         spec, path = self._store_one(manifest, tmp_path)

@@ -1,9 +1,10 @@
 """Flight recorder: bounded rings, dumps, autoflush and rendering."""
 
-import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.dos import DosAttacker
 from repro.bus.simulator import CanBusSimulator
@@ -20,6 +21,11 @@ from repro.obs.flight import (
     render_dump,
     write_dump,
 )
+
+
+#: A valid log header; malformed cases append the line under test.
+LOG_HEAD = (b'{"kind": "repro.obs.flight", "schema_version": 2,'
+            b' "format": "log", "bus_speed": 500000, "event_capacity": 4}\n')
 
 
 def fight_sim():
@@ -175,22 +181,32 @@ class TestLog:
         b' "format": "log", "event_capacity": 4}\n',
         b'{"kind": "repro.obs.flight", "schema_version": 2,'
         b' "format": "log", "event_capacity": "many"}\n',
-        b'{"kind": "repro.obs.flight", "schema_version": 2,'
-        b' "format": "log", "event_capacity": 4}\n{"type": "X"\n{}\n',
-        b'{"kind": "repro.obs.flight", "schema_version": 2,'
-        b' "format": "log", "event_capacity": 4}\n[1]\n',
-        b'{"kind": "repro.obs.flight", "schema_version": 2,'
-        b' "format": "log", "event_capacity": 4}\n'
-        b'{"checkpoint": "start", "nodes": [1]}\n',
+        LOG_HEAD + b'{"type": "X"\n{}\n',
+        LOG_HEAD + b'[1]\n',
+        LOG_HEAD + b'{"checkpoint": "start", "time": 0, "nodes": [1]}\n',
         b'{"kind": "repro.obs.flight", "schema_version": 2,'
         b' "events": {"not": "a list"}}\n',
         b'{"kind": "repro.obs.flight", "schema_version": 2,'
         b' "nodes": {"a": 1}}\n',
         b"[" * 100_000,
+        b'{"kind": "repro.obs.flight", "schema_version": 2,'
+        b' "format": "log", "event_capacity": 4, "bus_speed": "x"}\n',
+        LOG_HEAD + b'{"checkpoint": "start", "time": "x", "nodes": {}}\n',
+        LOG_HEAD + b'{"checkpoint": "start", "time": 0, "nodes": {},'
+        b' "wire_tail": {"levels": [7, "a"]}}\n',
+        LOG_HEAD + b'{"checkpoint": "start", "time": 0, "nodes": {},'
+        b' "wire_tail": {"levels": [], "start_bit": "x"}}\n',
+        LOG_HEAD + b'{"checkpoint": "start", "time": 0, "nodes": {},'
+        b' "ff_stats": {"body_spans": "x"}}\n',
+        b'{"kind": "repro.obs.flight", "schema_version": 2,'
+        b' "reason": "complete", "time": 0, "bus_speed": 500000,'
+        b' "events": [], "nodes": {}, "ff_stats": {}, "wire_tail": {}}\n',
     ], ids=["empty", "truncated-header", "text", "binary", "json-list",
             "foreign-kind", "newer-schema", "bad-capacity", "corrupt-line",
             "non-dict-line", "bad-checkpoint-nodes", "bad-events",
-            "bad-node-entry", "deep-nesting"])
+            "bad-node-entry", "deep-nesting", "bad-bus-speed",
+            "bad-checkpoint-time", "bad-wire-levels", "bad-wire-start",
+            "bad-ff-stats", "single-json-dump"])
     def test_malformed_files_raise_configuration_error(self, tmp_path,
                                                        content):
         path = tmp_path / "bad.flight.json"
@@ -237,6 +253,85 @@ class TestLog:
         assert recorder.flush() is None
 
 
+#: Any JSON value, for replacing a field of a logged line.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**40, 2**40) | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8)
+
+
+@pytest.fixture(scope="module")
+def real_log(tmp_path_factory):
+    """A directory and the lines of a real log in it: start checkpoint, a
+    fight's events (with a rotation), an abort checkpoint."""
+    directory = tmp_path_factory.mktemp("flight")
+    path = directory / "real.flight.json"
+    sim = fight_sim()
+    recorder = FlightRecorder(sim, event_capacity=16, autoflush_path=path,
+                              flush_every=4)
+    recorder.flush(reason="start")
+    sim.advance(1_500)
+    recorder.flush(reason="abort")
+    recorder.close()
+    return directory, path.read_text().splitlines()
+
+
+def replace_one_value(data, node):
+    """Replace one drawn element somewhere inside ``node`` (a decoded
+    dict or list) with a drawn JSON value."""
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        if isinstance(node[key], (dict, list)) and node[key] \
+                and data.draw(st.booleans()):
+            node = node[key]
+            continue
+        node[key] = data.draw(JSON_VALUES)
+        return
+
+
+class TestHostileLogs:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_logs_load_and_render_or_raise_configuration_error(
+            self, real_log, data):
+        """Truncate, mutate and splice a real log's lines: the post-mortem
+        either renders or refuses with a ConfigurationError."""
+        directory, lines = real_log
+        lines = list(lines)
+        edits = data.draw(st.lists(st.sampled_from(
+            ("mutate", "copy", "drop", "cut")), min_size=1, max_size=3))
+        for edit in edits:
+            if not lines:
+                break
+            index = data.draw(st.integers(0, len(lines) - 1))
+            line = lines[index]
+            if edit == "mutate":
+                try:
+                    entry = json.loads(line)
+                except ValueError:
+                    continue
+                if isinstance(entry, dict):
+                    replace_one_value(data, entry)
+                    lines[index] = json.dumps(entry)
+            elif edit == "copy":
+                lines.insert(data.draw(st.integers(0, len(lines))), line)
+            elif edit == "drop":
+                del lines[index]
+            else:  # a torn write
+                lines[index] = line[:data.draw(st.integers(0, len(line)))]
+        path = directory / "damaged.flight.json"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            render_dump(load_dump(path))
+        except ConfigurationError:
+            pass
+
+
 class TestDumpIO:
     def test_write_and_load_round_trip(self, tmp_path):
         sim = fight_sim()
@@ -247,17 +342,22 @@ class TestDumpIO:
         write_dump(dump, path)
         assert load_dump(path) == dump
 
-    def test_dump_bytes_match_the_streaming_encoder(self, tmp_path):
+    def test_write_dump_writes_the_log_form(self, tmp_path):
+        """Header, one line per event, then a checkpoint with the reason:
+        the one on-disk format."""
         sim = fight_sim()
         recorder = FlightRecorder(sim)
         sim.advance(3_000)
         dump = recorder.dump(reason="complete")
         path = tmp_path / "a.flight.json"
         write_dump(dump, path)
-        streamed = io.StringIO()
-        json.dump(dump, streamed, sort_keys=True)
-        streamed.write("\n")
-        assert path.read_bytes() == streamed.getvalue().encode("utf-8")
+        head, *events, checkpoint = map(
+            json.loads, path.read_text().splitlines())
+        assert head["kind"] == FLIGHT_KIND
+        assert head["bus_speed"] == sim.bus_speed
+        assert events == dump["events"]
+        assert checkpoint["checkpoint"] == "complete"
+        assert checkpoint["time"] == sim.time
 
     def test_load_rejects_wrong_kind_and_version(self, tmp_path):
         path = tmp_path / "bad.json"

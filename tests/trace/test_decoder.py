@@ -1,6 +1,9 @@
 """Tests for the offline wire decoder — including the cross-validation
 property: wire decode must agree with the simulator's event stream."""
 
+import signal
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +12,7 @@ from repro.bus.events import FrameTransmitted
 from repro.bus.simulator import CanBusSimulator
 from repro.can.frame import CanFrame
 from repro.core.defense import MichiCanNode
+from repro.errors import ConfigurationError
 from repro.node.controller import CanNode
 from repro.node.scheduler import PeriodicMessage, PeriodicScheduler
 from repro.trace.decoder import DecodedKind, decode_wire, decoded_frames
@@ -110,3 +114,28 @@ class TestAttackDecoding:
         sim.advance(40)  # stop mid-frame
         entries = decode_wire(sim.wire.history)
         assert entries[-1].kind is DecodedKind.TRUNCATED
+
+
+@pytest.fixture
+def deadline():
+    """Turn a hang into a failure: SIGALRM after 10 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the decoder did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestHostileLevels:
+    @pytest.mark.parametrize("assume_idle", [False, True])
+    @pytest.mark.parametrize("levels", [
+        [7], [0, 0, 0, 7], ["a"], [2, 1, 1], [1] * 11 + [0, 5], [None],
+    ], ids=["seven", "seven-after-dominant", "text", "two", "mid-frame",
+            "none"])
+    def test_a_level_other_than_0_or_1_raises(self, levels, assume_idle,
+                                                deadline):
+        with pytest.raises(ConfigurationError, match="neither dominant"):
+            decode_wire(levels, assume_idle)
