@@ -16,7 +16,10 @@ root so future PRs have a perf trajectory to beat:
   because they are keyed by counter region: fast >= 1.2x per-bit;
 * exp4 over the fight window under the campaign's autoflush flight
   recorder, which must ride replay: the same replayed cycles as bare and
-  at most 1.5x its wall time.
+  at most 1.5x its wall time;
+* exactness, not speed: the Table II fights with two seeds' attack IDs
+  over the fight window, where composite runs of replayed cycles recur,
+  leave the same fingerprint and result under both engines.
 
 The parallel-speedup assertion only applies on multi-core hosts; a
 single-core container still records the numbers and checks determinism.
@@ -29,6 +32,7 @@ import os
 import pathlib
 import time
 
+import pytest
 from conftest import report
 from repro.experiments.campaign import Campaign, ScenarioSpec, execute_spec
 from repro.obs.flight import load_dump
@@ -273,6 +277,7 @@ def test_fastpath_fight_window(benchmark, quick):
         ("speedup", f">= {FIGHT_TARGET_SPEEDUP}x", f"{speedup:.1f}x"),
     ])
     assert stats["replayed_segments"] > 0
+    assert stats["replayed_runs"] > 0
     assert speedup >= FIGHT_TARGET_SPEEDUP
 
 
@@ -365,3 +370,37 @@ def test_fastpath_flight_window(benchmark, quick, tmp_path):
     ])
     assert stats["replayed_segments"] == bare_stats["replayed_segments"] > 0
     assert slowdown <= FLIGHT_MAX_SLOWDOWN
+
+
+#: The Table II fights with the attack IDs two benchmark seeds pick: the
+#: exp5 and exp6 ID pairs and the 3-attacker fight's base ID.
+TABLE2_FIGHTS = [
+    (seed, name, params)
+    for seed, exp5_ids, exp6_ids, base_id in (
+        (1, [0x079, 0x0AB], [0x01C, 0x0EC], 0x08B),
+        (2, [0x076, 0x129], [0x0B6, 0x147], 0x081))
+    for name, params in (
+        ("exp1", {}), ("exp2", {}), ("exp3", {}), ("exp4", {}),
+        ("exp5", {"attack_ids": exp5_ids}), ("exp6", {"attack_ids": exp6_ids}),
+        ("multi_attacker", {"num_attackers": 3, "base_id": base_id}))
+]
+
+
+@pytest.mark.parametrize("seed,name,params", TABLE2_FIGHTS,
+                         ids=[f"{name}-seed{seed}"
+                              for seed, name, _ in TABLE2_FIGHTS])
+def test_table2_fights_replay_exactly(seed, name, params):
+    """Fast == bit over the fight window: events, wire history, full node
+    state and the result, with composite runs replayed."""
+    from tests.experiments.test_differential import _fingerprint
+
+    runs = {}
+    for engine in ("fast", "bit"):
+        spec = ScenarioSpec(name, params=dict(params), seed=seed,
+                            duration_bits=FIGHT_WINDOW_BITS, engine=engine)
+        setup = spec.build()
+        result = setup.run(config=spec.run_config())
+        runs[engine] = _fingerprint(setup.sim), result.to_dict()
+        if engine == "fast":
+            assert setup.sim.ff_stats.replayed_runs > 0
+    assert runs["fast"] == runs["bit"]

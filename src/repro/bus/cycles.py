@@ -64,6 +64,14 @@ values not read again               a queue entry enqueued before the
                                     them before they are read, so replay
                                     keeps the live value unless the
                                     segment rewrote it.
+a run of back-to-back replayed      one composite segment under its head
+cycles                              cycle: the head's key and the run's
+                                    guard fix every later cycle's start
+                                    (see **Runs**).  Re-checked live:
+                                    deadline and samples over the whole
+                                    run, no scheduler due time or source
+                                    start window before its last cycle's
+                                    look-ahead ends, no part evicted.
 ==================================  ====================================
 
 **Counter regions.**  Nothing reads TEC or REC mid-run except through
@@ -86,6 +94,36 @@ events in order, time-shifted, through each node's ``emit``, and
 restores every node's end state plus the recorded counter and
 accumulator deltas.  Replay re-emits what the per-bit engine produced;
 there is no second model of arbitration or error handling.
+
+**Runs.**  Cycles that replay back to back — each boundary a hit, no bit
+stepped and no span committed between them — are recorded as they
+replay (each one's capture and start) and, when the run ends (a miss, a
+span, the deadline or :data:`MAX_RUN_BITS`), stored as one composite
+under the head cycle.  Its end state comes from the same
+``_NodeCodec.finish`` relative to the head capture.  Its events are the
+ones its parts replayed, rebuilt from their recipes the first time the
+composite replays, each queue entry named by the part's recipe and
+capture: a replay emits before it restores, so the live queue cannot
+name it.  A composite replays only where replaying cycle by cycle would
+replay exactly its parts, so it changes the cost, never a decision:
+
+* the head is the cycle the live key and counters pick (composites hang
+  off it) and each later part's key follows from replay being exact:
+  every keyed field is fixed by the head's key, the counters are the
+  head's shifted by what the run added, and the "far" scheduler and
+  source classes hold while no due time or start window falls before
+  the last part's start plus :data:`MAX_SEGMENT_BITS` (re-checked);
+* the guard is :func:`_guard` over the run's excursion, each part's
+  recorded excursion placed at its live start, so the region argument
+  holds for the whole run, and within it each part's own guard admits
+  its start;
+* every part after the head is the first cycle recorded under its key
+  (a run ends before any other), so the lookup picks it wherever its
+  guard admits; a part whose key was evicted refuses the run;
+* the deadline and every sampler's next sample must lie past its end.
+
+Composites live beside the segment memo, :data:`RUN_ENTRIES` at most
+(FIFO), and count their cycles in ``replayed_segments``.
 """
 
 from __future__ import annotations
@@ -152,6 +190,14 @@ MAX_SEGMENT_BITS = 128
 #: engine's plan cache).
 MEMO_ENTRIES = 256
 
+#: A run closes before a cycle whose capture look-ahead (its start plus
+#: MAX_SEGMENT_BITS) would end more than this many bits past the run's
+#: start; a fight episode's cycles take ~1.3k.
+MAX_RUN_BITS = 2048
+
+#: Composite runs kept per simulator (FIFO).
+RUN_ENTRIES = 32
+
 _OLD = "old"      # a queue entry enqueued before the segment start
 _FAR = "far"
 _NONE = "none"
@@ -196,10 +242,19 @@ def _field_index(cls: type, name: str) -> int:
     return tuple(cls.__dataclass_fields__).index(name)  # type: ignore[attr-defined]
 
 
+@lru_cache(maxsize=None)
+def _layout(cls: type) -> Tuple[Callable[[Any], Tuple[Any, ...]], int]:
+    """A stamped class's getter of every field (two or more) and the
+    position of its ``time``."""
+    names = tuple(cls.__dataclass_fields__)  # type: ignore[attr-defined]
+    return attrgetter(*names), names.index("time")
+
+
 def _stamped(item: Any, start: int) -> _Stamp:
     cls = type(item)
-    values = [getattr(item, name) for name in cls.__dataclass_fields__]
-    values[_field_index(cls, "time")] -= start
+    fields, time = _layout(cls)
+    values = list(fields(item))
+    values[time] -= start
     return cls, tuple(values)
 
 
@@ -208,7 +263,7 @@ def _restamp(stamp: _Stamp, start: int) -> Any:
     # exactly like the one the per-bit engine builds.
     cls, values = stamp
     fields = list(values)
-    fields[_field_index(cls, "time")] += start
+    fields[_layout(cls)[1]] += start
     return cls(*fields)
 
 
@@ -228,20 +283,25 @@ def _extend_log(log: List[Any], tail: Tuple[_Stamp, ...],
 # ------------------------------------------------------------ schedulers
 
 class _PeriodicCodec:
-    """PeriodicScheduler: keyed only when its next due time is far."""
+    """PeriodicScheduler: keyed only when its next due time is far.
+
+    Every scheduler codec's ``key`` returns the key, the information its
+    ``finish`` and ``restore`` need, and how many bits from ``start`` the
+    key's "far" class holds (a run's parts must all be captured before
+    then), or None when the capture declines."""
 
     fields = frozenset({"messages", "_no_enqueue_before"})
 
     def key(self, scheduler: Any, queue: TransmitQueue,
-            start: int) -> Optional[Tuple[Any, Any]]:
+            start: int) -> Optional[Tuple[Any, Any, float]]:
         for message in scheduler.messages:
             if type(message) is not PeriodicMessage:
                 return None
         due = scheduler.next_due(start, queue)
         if due is None:
-            return (_NONE,), None
+            return (_NONE,), None, inf
         if due - start >= MAX_SEGMENT_BITS:
-            return (_FAR,), None
+            return (_FAR,), None, due - start
         return None  # an enqueue inside the segment: exact key never recurs
 
     def finish(self, scheduler: Any, info: Any) -> Any:
@@ -263,20 +323,22 @@ class _ContinuousCodec:
         self.zero_payload = zero_payload
 
     def key(self, source: Any, queue: TransmitQueue,
-            start: int) -> Optional[Tuple[Any, Any]]:
+            start: int) -> Optional[Tuple[Any, Any, float]]:
         if source.messages:
             return None
         accumulates = source.limit is None and source.payload_fn is self.zero_payload
         start_bits = source.start_bits
+        far: float = inf
         if start_bits <= start:
             window: Any = _STARTED
         elif start_bits - start >= MAX_SEGMENT_BITS:
             window = _FAR
+            far = start_bits - start
         else:
             window = start_bits - start
         emitted = None if accumulates else source.emitted
         return ((source.can_id, source.payload_fn, source.limit, window,
-                 emitted), (accumulates, source.emitted))
+                 emitted), (accumulates, source.emitted), far)
 
     def finish(self, source: Any, info: Any) -> Any:
         accumulates, emitted = info
@@ -296,11 +358,11 @@ class _AlternatingCodec:
     fields = frozenset({"can_ids", "emitted", "messages"})
 
     def key(self, source: Any, queue: TransmitQueue,
-            start: int) -> Optional[Tuple[Any, Any]]:
+            start: int) -> Optional[Tuple[Any, Any, float]]:
         if source.messages:
             return None
         ids = tuple(source.can_ids)
-        return (ids, source.emitted % len(ids)), source.emitted
+        return (ids, source.emitted % len(ids)), source.emitted, inf
 
     def finish(self, source: Any, info: Any) -> Any:
         return source.emitted - info
@@ -375,13 +437,14 @@ class _FirmwareStart:
 class _Start:
     """One node's capture at a segment start (what finish/replay need)."""
 
-    __slots__ = ("node", "codec", "sched_codec", "sched_info", "entries",
+    __slots__ = ("node", "codec", "sched_codec", "sched_info", "far", "entries",
                  "attempts", "completed", "tx_live", "tec", "rec",
                  "transitions", "busoff", "busoff_live",
                  "accum", "firmware")
 
     sched_codec: Any
     sched_info: Any
+    far: float  # bits ahead the scheduler key's "far" class holds
     entries: List[PendingTransmission]
     attempts: List[int]
     completed: int
@@ -452,6 +515,7 @@ class _NodeCodec:
         record = _Start(node, self)
         record.sched_codec = sched_codec
         record.sched_info = sched[1]
+        record.far = sched[2]
         entries = list(queue._pending)
         pending_key = []
         for entry in entries:
@@ -765,7 +829,8 @@ def _event_recipe(node_index: int, event: Event, entry: Optional[int],
     cls = type(event)
     if cls not in _REPLAYABLE_EVENTS:
         return None
-    values = list(_stamped(event, start)[1])
+    values = list(_layout(cls)[0](event))
+    values[0] -= start  # time
     rebase = None
     if cls is FrameStarted or cls is FrameTransmitted:
         # enqueued_at / started_at are bit times too.
@@ -804,17 +869,22 @@ def _build_event(recipe: _EventRecipe, record: _Start, start: int) -> Event:
 # ------------------------------------------------------------------ memo
 
 class _Segment:
-    """One recorded cycle: wire levels, event recipes, per-node end states
-    and the live start counters it replays for (``guard``: lowest and
-    highest values, in :func:`_counters` order)."""
+    """One recorded cycle: wire levels, event recipes, per-node end states,
+    the live start counters it replays for (``guard``: lowest and highest
+    values, in :func:`_counters` order) and every node's TEC/REC excursion
+    (lowest and highest TEC, lowest and highest REC, relative to the start
+    values; zeros for a node whose counters both started at zero)."""
 
     __slots__ = ("length", "levels", "dominant", "events", "ends",
-                 "at_span", "keepalive", "guard")
+                 "at_span", "keepalive", "guard", "excursion", "emitted",
+                 "cycles", "runs", "live")
 
     def __init__(self, levels: Sequence[int], events: List[_EventRecipe],
                  ends: List[Tuple[Any, ...]], at_span: bool,
                  keepalive: List[Any],
-                 guard: Tuple[Tuple[int, ...], Tuple[float, ...]]) -> None:
+                 guard: Tuple[Tuple[int, ...], Tuple[float, ...]],
+                 excursion: Tuple[Tuple[int, int, int, int], ...],
+                 emitted: List[Set[type]]) -> None:
         self.length = len(levels)
         self.levels = levels
         self.dominant = levels.count(DOMINANT)
@@ -823,6 +893,15 @@ class _Segment:
         self.at_span = at_span
         self.keepalive = keepalive
         self.guard = guard
+        self.excursion = excursion
+        #: Per node, the event classes it emits in the segment.
+        self.emitted = emitted
+        #: Cycles replayed by one replay of this segment.
+        self.cycles = 1
+        #: Composite runs headed by this cycle, longest first.
+        self.runs: List[_Run] = []
+        #: False once its key is evicted from the memo.
+        self.live = True
 
     def admits(self, counters: Tuple[int, ...]) -> bool:
         """True when the live start counters lie inside the guard."""
@@ -830,13 +909,75 @@ class _Segment:
         return all(map(le, lows, counters)) and all(map(le, counters, highs))
 
 
+#: What a stored run rebuilds its events from: the head capture, the
+#: run's start, and each part's capture and start.
+_Sources = Tuple[List[_Start], int, List[Tuple[List[_Start], int]]]
+
+
+class _Run(_Segment):
+    """A composite: back-to-back replayed cycles (``parts``) stored as one
+    segment under the head cycle.  ``reach``: bits from its start within
+    which no scheduler may come due (its last part's start plus the
+    capture look-ahead).
+
+    Most runs never recur, so the event recipes are built the first time
+    one replays (:meth:`realize`), from what the parts replayed
+    (``sources`` until then)."""
+
+    __slots__ = ("parts", "reach", "sources")
+
+    def __init__(self, levels: Sequence[int], ends: List[Tuple[Any, ...]],
+                 keepalive: List[Any],
+                 guard: Tuple[Tuple[int, ...], Tuple[float, ...]],
+                 parts: List[_Segment], reach: int,
+                 sources: _Sources) -> None:
+        super().__init__(levels, [], ends, parts[-1].at_span, keepalive,
+                         guard, (), [])
+        self.cycles = len(parts)
+        self.parts = parts
+        self.reach = reach
+        self.sources: Optional[_Sources] = sources
+
+    def realize(self) -> None:
+        """Build the event recipes, relative to the head capture, from the
+        events each part replayed (rebuilt from its recipe, capture and
+        start: they are the same values it emitted)."""
+        if self.sources is None:
+            return
+        records, start, starts = self.sources
+        self.sources = None
+        entry_index = _entry_index(records)
+        recipes = self.events
+        for part, (part_records, part_start) in zip(self.parts, starts):
+            for recipe in part.events:
+                index, _, _, rebase = recipe
+                record = part_records[index]
+                # A replay emits before it restores, so the queue entry
+                # an event names comes from the part's recipe and capture.
+                entry = None if rebase is None else entry_index[index].get(
+                    id(record.entries[rebase[0]]))
+                rebuilt = _event_recipe(
+                    index, _build_event(recipe, record, part_start), entry,
+                    records, start)
+                assert rebuilt is not None  # a part's class is replayable
+                recipes.append(rebuilt)
+
+
+_LIVE = attrgetter("live")
+
+
 class _Recording:
+    """A segment being recorded: a cycle stepped per-bit, or a run of
+    replayed cycles (``parts`` non-empty)."""
+
     __slots__ = ("key", "start", "records", "names", "entry_index",
-                 "levels", "events", "keepalive", "marks")
+                 "levels", "events", "keepalive", "marks", "parts", "starts",
+                 "far")
 
     key: Any
     start: int
     records: List[_Start]
+    # While stepping: node indices by name, and _entry_index(records).
     names: Dict[str, int]
     entry_index: List[Dict[int, int]]
     levels: List[int]
@@ -844,10 +985,32 @@ class _Recording:
     keepalive: List[Any]
     #: Per node: lowest and highest TEC, lowest and highest REC so far.
     marks: List[List[int]]
+    #: The replayed cycles of a run, in order (empty while stepping), and
+    #: each one's capture and start.
+    parts: List[_Segment]
+    starts: List[Tuple[List[_Start], int]]
+    #: Bits from a run's start within which its parts' capture look-ahead
+    #: must end: the head's "far" (see :class:`_PeriodicCodec`), at most
+    #: :data:`MAX_RUN_BITS`.
+    far: float
+
+    def __init__(self, key: Any, start: int, records: List[_Start],
+                 keepalive: List[Any]) -> None:
+        self.key = key
+        self.start = start
+        self.records = records
+        self.levels = []
+        self.events = []
+        self.keepalive = keepalive
+        self.marks = [[record.tec, record.tec, record.rec, record.rec]
+                      for record in records]
+        self.parts = []
+        self.starts = []
 
 
 class CycleMemo:
-    """Records and replays fight cycles for one simulator."""
+    """Records and replays fight cycles, and runs of them, for one
+    simulator."""
 
     def __init__(self, sim: "CanBusSimulator",
                  stats: "FastForwardStats") -> None:
@@ -858,8 +1021,10 @@ class CycleMemo:
         #: start counters their guards admit.
         self._segments: "OrderedDict[Any, List[_Segment]]" = OrderedDict()
         self._stored = 0  # segments over all keys
+        #: Composite runs, oldest first (each also hangs off its head).
+        self._runs: List[_Run] = []
         self._recording: Optional[_Recording] = None
-        #: The running segment's stepped levels (None when not recording).
+        #: The running segment's stepped levels (None when not stepping).
         self.levels: Optional[List[int]] = None
         #: (fault confinement, water marks) of the recorded nodes whose
         #: counters did not both start at zero.
@@ -897,18 +1062,29 @@ class CycleMemo:
                     return False
         return True
 
+    def _fits(self, run: _Run, records: List[_Start],
+              counters: Tuple[int, ...], deadline: int) -> bool:
+        """True when every cycle of ``run`` would replay, back to back,
+        from here: the live counters and every re-checked abstraction
+        (deadline, samples, scheduler due times, evicted parts)."""
+        return (run.admits(counters) and self._replayable(run, deadline)
+                and min([record.far for record in records]) >= run.reach
+                and all(map(_LIVE, run.parts)))
+
     # ---------------------------------------------------------- boundaries
 
     def _miss(self, reason: str) -> None:
+        self.end_run()
         stats = self.stats
         stats.replay_misses += 1
         stats.replay_miss_reasons[reason] += 1
 
     def boundary(self, deadline: int) -> Optional[_Segment]:
         """A SOF boundary: close the running segment, then replay the next
-        one if a recorded cycle's key and guard match (returned), else
-        start recording."""
-        if self._recording is not None:
+        cycle — or the longest fitting run headed by it — if a recorded
+        cycle's key and guard match (returned), else start recording."""
+        recording = self._recording
+        if recording is not None and not recording.parts:
             self.finish(at_span=False)
         captured = self._capture()
         if captured is None:
@@ -917,40 +1093,37 @@ class CycleMemo:
         key, records, keepalive = captured
         candidates = self._segments.get(key, ())
         counters = _counters(records)
-        for segment in candidates:
+        for position, segment in enumerate(candidates):
             if segment.admits(counters):
                 break
         else:
-            self._start(key, records, keepalive)
             self._miss("guard_refused" if candidates else "new_key")
+            self._start(key, records, keepalive)
             return None
+        for run in segment.runs:
+            if self._fits(run, records, counters, deadline):
+                self.end_run()
+                run.realize()
+                self._replay(run, records)
+                self.stats.replayed_runs += 1
+                return run
         if not self._replayable(segment, deadline):
             self._miss("not_replayable")
             return None
+        self._extend_run(key, records, keepalive, segment, not position)
         self._replay(segment, records)
         return segment
 
     def _start(self, key: Any, records: List[_Start],
                keepalive: List[Any]) -> None:
-        recording = _Recording()
-        recording.key = key
-        recording.start = self.sim.time
-        recording.records = records
+        recording = self._recording = _Recording(
+            key, self.sim.time, records, keepalive)
         recording.names = {record.node.name: index
                            for index, record in enumerate(records)}
-        recording.entry_index = [
-            {id(entry): position
-             for position, entry in enumerate(record.entries)}
-            for record in records]
-        recording.levels = []
-        recording.events = []
-        recording.keepalive = keepalive
-        recording.marks = [[record.tec, record.tec, record.rec, record.rec]
-                           for record in records]
+        recording.entry_index = _entry_index(records)
         self._watch = [(record.node.faults, marks)
                        for record, marks in zip(records, recording.marks)
                        if record.tec or record.rec]
-        self._recording = recording
         self.levels = recording.levels
         self.sim._event_listeners.append(self._on_event)
 
@@ -990,16 +1163,62 @@ class CycleMemo:
         if len(levels) > MAX_SEGMENT_BITS:
             self.abandon()
 
+    # ---------------------------------------------------------------- runs
+
+    def _extend_run(self, key: Any, records: List[_Start],
+                    keepalive: List[Any], segment: _Segment,
+                    first: bool) -> None:
+        """Add ``segment``, about to replay here, to the open run, or open
+        a run headed by it.  ``first``: it is the first cycle recorded
+        under its key, the only kind a run takes after its head."""
+        run = self._recording
+        start = self.sim.time
+        if run is not None and (
+                not first or start - run.start != len(run.levels)
+                or start - run.start + MAX_SEGMENT_BITS > run.far):
+            self.end_run()
+            run = None
+        if run is None:
+            run = self._recording = _Recording(
+                key, start, records, keepalive)
+            run.far = min([MAX_RUN_BITS] + [record.far for record in records])
+        for record, marks, (tec_low, tec_high, rec_low, rec_high) in zip(
+                records, run.marks, segment.excursion):
+            tec = record.tec
+            rec = record.rec
+            if tec + tec_low < marks[0]:
+                marks[0] = tec + tec_low
+            if tec + tec_high > marks[1]:
+                marks[1] = tec + tec_high
+            if rec + rec_low < marks[2]:
+                marks[2] = rec + rec_low
+            if rec + rec_high > marks[3]:
+                marks[3] = rec + rec_high
+        run.parts.append(segment)
+        run.starts.append((records, start))
+        run.levels.extend(segment.levels)
+
+    def end_run(self) -> None:
+        """Close an open run of replayed cycles, storing it when it holds
+        two or more."""
+        recording = self._recording
+        if recording is not None and recording.parts:
+            self.finish(at_span=False)
+
     def abandon(self) -> None:
         """Drop the running segment (deadline, stop, topology change)."""
-        if self._recording is not None:
+        recording = self._recording
+        if recording is not None:
             self._recording = None
-            self.levels = None
-            self._watch = []
-            self.sim._event_listeners.remove(self._on_event)
+            if not recording.parts:
+                self.levels = None
+                self._watch = []
+                self.sim._event_listeners.remove(self._on_event)
 
     def finish(self, at_span: bool) -> None:
-        """Close the running segment and memoize it when storable."""
+        """Close the running segment and memoize it when storable: a cycle
+        stepped per-bit, or a run of two or more replayed cycles (which
+        ends at a span when its last cycle does)."""
         recording = self._recording
         if recording is None:
             return
@@ -1007,6 +1226,10 @@ class CycleMemo:
         start = recording.start
         length = len(recording.levels)
         if not length or self.sim.time != start + length:
+            return
+        if recording.parts:
+            if len(recording.parts) > 1:
+                self._store_run(recording)
             return
         records = recording.records
         recipes: List[_EventRecipe] = []
@@ -1019,21 +1242,54 @@ class CycleMemo:
                 return
             recipes.append(recipe)
             emitted[index].add(type(event))
-        ends = []
-        for index, record in enumerate(records):
-            end = record.codec.finish(record, start, length, emitted[index])
-            if end is None:
-                return
-            ends.append(end)
+        ends = _ends(records, start, length, emitted)
+        if ends is None:
+            return
         segments = self._segments
         stored = self._stored
         while stored >= MEMO_ENTRIES:
-            stored -= len(segments.popitem(last=False)[1])
+            evicted = segments.popitem(last=False)[1]
+            stored -= len(evicted)
+            for segment in evicted:
+                segment.live = False
+        excursion = tuple([
+            (tec_low - record.tec, tec_high - record.tec,
+             rec_low - record.rec, rec_high - record.rec)
+            for record, (tec_low, tec_high, rec_low, rec_high)
+            in zip(records, recording.marks)])
         segments.setdefault(recording.key, []).append(_Segment(
             tuple(recording.levels), recipes, ends, at_span,
-            recording.keepalive, _guard(records, recording.marks)))
+            recording.keepalive, _guard(records, recording.marks),
+            excursion, emitted))
         self._stored = stored + 1
         self.stats.recorded_segments += 1
+
+    def _store_run(self, recording: _Recording) -> None:
+        records = recording.records
+        start = recording.start
+        length = len(recording.levels)
+        parts = recording.parts
+        emitted: List[Set[type]] = [set() for _ in records]
+        for part in parts:
+            for classes, part_classes in zip(emitted, part.emitted):
+                classes |= part_classes
+        ends = _ends(records, start, length, emitted)
+        if ends is None:
+            return
+        run = _Run(tuple(recording.levels), ends, recording.keepalive,
+                   _guard(records, recording.marks), parts,
+                   length - parts[-1].length + MAX_SEGMENT_BITS,
+                   (records, start, recording.starts))
+        runs = parts[0].runs
+        position = 0
+        while position < len(runs) and runs[position].length >= run.length:
+            position += 1
+        runs.insert(position, run)
+        self._runs.append(run)
+        if len(self._runs) > RUN_ENTRIES:
+            oldest = self._runs.pop(0)
+            oldest.parts[0].runs.remove(oldest)
+        self.stats.recorded_runs += 1
 
     # -------------------------------------------------------------- replay
 
@@ -1048,8 +1304,29 @@ class CycleMemo:
         for record, end in zip(records, segment.ends):
             record.codec.restore(record, end, start, stop)
         sim.time = stop
-        self.stats.replayed_segments += 1
-        self.stats.replayed_bits += segment.length
+        stats = self.stats
+        stats.replayed_segments += segment.cycles
+        stats.replayed_bits += segment.length
+
+
+def _entry_index(records: Sequence[_Start]) -> List[Dict[int, int]]:
+    """Per node, the captured queue entries' positions by identity."""
+    return [{id(entry): position
+             for position, entry in enumerate(record.entries)}
+            for record in records]
+
+
+def _ends(records: Sequence[_Start], start: int, length: int,
+          emitted: List[Set[type]]) -> Optional[List[Tuple[Any, ...]]]:
+    """Every node's end state relative to its capture (None: one is not
+    storable)."""
+    ends = []
+    for index, record in enumerate(records):
+        end = record.codec.finish(record, start, length, emitted[index])
+        if end is None:
+            return None
+        ends.append(end)
+    return ends
 
 
 def _guard(records: Sequence[_Start], marks: Sequence[List[int]],

@@ -28,7 +28,8 @@ bus-off recovery bit or the caller's deadline, whichever comes first.
 
 **Replayed cycles** — once the bus has seen an error frame,
 :meth:`FastForwardEngine.advance` also records the per-bit run of each
-fight cycle and replays it when the same node state recurs (see
+fight cycle and replays it when the same node state recurs, and replays
+a recurring run of back-to-back cycles as one segment (see
 :mod:`repro.bus.cycles`).
 
 The determinism contract: a committed span changes simulator state exactly
@@ -232,7 +233,8 @@ class FastForwardStats:
 
     __slots__ = ("body_spans", "body_bits", "idle_spans", "idle_bits",
                  "declines", "recorded_segments", "replayed_segments",
-                 "replayed_bits", "replay_misses", "replay_miss_reasons")
+                 "replayed_bits", "replay_misses", "replay_miss_reasons",
+                 "recorded_runs", "replayed_runs")
 
     def __init__(self) -> None:
         self.body_spans = 0
@@ -251,6 +253,11 @@ class FastForwardStats:
         self.replay_misses = 0
         self.replay_miss_reasons: Dict[str, int] = dict.fromkeys(
             REPLAY_MISS_REASONS, 0)
+        #: Composite runs of back-to-back replayed cycles stored, and
+        #: replayed as one segment each (their cycles and bits also count
+        #: in ``replayed_segments``/``replayed_bits``).
+        self.recorded_runs = 0
+        self.replayed_runs = 0
 
     @property
     def fast_bits(self) -> int:
@@ -269,6 +276,8 @@ class FastForwardStats:
             "replayed_bits": self.replayed_bits,
             "replay_misses": self.replay_misses,
             "replay_miss_reasons": dict(self.replay_miss_reasons),
+            "recorded_runs": self.recorded_runs,
+            "replayed_runs": self.replayed_runs,
         }
 
 
@@ -367,6 +376,7 @@ class FastForwardEngine:
                 cycles = self._armed_cycles()
                 if cycles is not None:
                     self._step_cycles(cycles, deadline, bits)
+                    cycles.end_run()
                 else:
                     chunk = sim.time + bits
                     sim._step_bits(chunk if chunk < deadline else deadline)

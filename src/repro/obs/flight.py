@@ -521,11 +521,15 @@ def render_dump(dump: Dict[str, Any], events: int = 20,
         if not entries:
             lines.append("  (no decodable activity)")
     stats = dump.get("ff_stats", {})
-    if stats.get("body_spans") or stats.get("idle_spans"):
+    if (stats.get("body_spans") or stats.get("idle_spans")
+            or stats.get("replayed_segments")):
         lines.append("")
         lines.append(
             f"fast-forward: {stats.get('body_spans', 0)} body spans "
             f"({stats.get('body_bits', 0)} bits), "
             f"{stats.get('idle_spans', 0)} idle spans "
-            f"({stats.get('idle_bits', 0)} bits)")
+            f"({stats.get('idle_bits', 0)} bits), "
+            f"{stats.get('replayed_segments', 0)} replayed cycles "
+            f"({stats.get('replayed_bits', 0)} bits, "
+            f"{stats.get('replayed_runs', 0)} runs)")
     return "\n".join(lines)

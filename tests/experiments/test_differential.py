@@ -188,26 +188,273 @@ def test_fast_engine_still_fast_forwards_with_snapshots():
 LONG_WINDOW = 60_000
 
 FIGHTS = [
-    ("exp1", {}), ("exp2", {}), ("exp4", {}), ("exp5", {}), ("exp6", {}),
-    ("multi_attacker", {"num_attackers": 3}),
+    ("exp1", {}), ("exp2", {}), ("exp3", {}), ("exp4", {}), ("exp5", {}),
+    ("exp6", {}), ("multi_attacker", {"num_attackers": 3}),
 ]
+
+#: Engine counters of each fight, locked from the engine that replayed one
+#: cycle per SOF boundary.  Composite runs change what a replay costs,
+#: never which cycles replay, which boundaries miss or which spans commit.
+CYCLE_STATS = {
+    "exp1": dict(
+        body_spans=78, body_bits=5730, idle_spans=50, idle_bits=25523,
+        recorded_segments=210, replayed_segments=400, replayed_bits=15836,
+        replay_miss_reasons=dict(uncapturable=107, new_key=176,
+                                 guard_refused=34, not_replayable=0)),
+    "exp2": dict(
+        body_spans=24, body_bits=2147, idle_spans=22, idle_bits=28897,
+        recorded_segments=42, replayed_segments=673, replayed_bits=25824,
+        replay_miss_reasons=dict(uncapturable=7, new_key=36,
+                                 guard_refused=11, not_replayable=0)),
+    "exp3": dict(
+        body_spans=78, body_bits=5698, idle_spans=45, idle_bits=25833,
+        recorded_segments=179, replayed_segments=418, replayed_bits=16307,
+        replay_miss_reasons=dict(uncapturable=120, new_key=152,
+                                 guard_refused=27, not_replayable=0)),
+    "exp4": dict(
+        body_spans=27, body_bits=2431, idle_spans=21, idle_bits=28624,
+        recorded_segments=31, replayed_segments=691, replayed_bits=26788,
+        replay_miss_reasons=dict(uncapturable=7, new_key=22,
+                                 guard_refused=9, not_replayable=1)),
+    "exp5": dict(
+        body_spans=3, body_bits=253, idle_spans=17, idle_bits=18496,
+        recorded_segments=116, replayed_segments=965, replayed_bits=36515,
+        replay_miss_reasons=dict(uncapturable=9, new_key=80,
+                                 guard_refused=36, not_replayable=1)),
+    "exp6": dict(
+        body_spans=23, body_bits=2070, idle_spans=22, idle_bits=29443,
+        recorded_segments=56, replayed_segments=664, replayed_bits=25527,
+        replay_miss_reasons=dict(uncapturable=6, new_key=40,
+                                 guard_refused=16, not_replayable=0)),
+    "multi_attacker": dict(
+        body_spans=3, body_bits=262, idle_spans=14, idle_bits=6868,
+        recorded_segments=204, replayed_segments=1161, replayed_bits=44818,
+        replay_miss_reasons=dict(uncapturable=8, new_key=123,
+                                 guard_refused=81, not_replayable=1)),
+}
+
 
 @pytest.mark.parametrize("name,params", FIGHTS,
                          ids=[name for name, _ in FIGHTS])
 def test_long_window_fights_replay_exactly(name, params):
-    """Replayed cycles are invisible: events, wire and full node state
-    match the bit engine over windows where cycles recur."""
+    """Replayed cycles and runs are invisible: events, wire and full node
+    state match the bit engine over windows where cycles recur, and the
+    engine's decisions match replaying one cycle at a time."""
     sim_fast, result_fast = _run(name, 0, "fast", duration=LONG_WINDOW,
                                  params=params)
     sim_bit, result_bit = _run(name, 0, "bit", duration=LONG_WINDOW,
                                params=params)
     assert _fingerprint(sim_fast) == _fingerprint(sim_bit)
     assert result_fast.to_dict() == result_bit.to_dict()
-    stats = sim_fast.ff_stats
-    assert stats.recorded_segments > 0
-    assert stats.replayed_segments > 0
-    assert stats.replayed_bits > 0
-    assert sum(stats.replay_miss_reasons.values()) == stats.replay_misses
+    stats = sim_fast.ff_stats.as_dict()
+    assert {key: stats[key] for key in CYCLE_STATS[name]} == CYCLE_STATS[name]
+    assert stats["replayed_runs"] > 0
+    assert sum(stats["replay_miss_reasons"].values()) == stats["replay_misses"]
+    # Past its head, a run holds only the first cycle under each key: the
+    # one the lookup picks wherever that cycle's guard admits.
+    memo = sim_fast._ff_engine._cycles
+    position = {id(segment): index for segments in memo._segments.values()
+                for index, segment in enumerate(segments)}
+    assert not any(position.get(id(part)) for run in memo._runs
+                   for part in run.parts[1:])
+
+
+# ------------------------------------------------------- composite runs
+
+@pytest.fixture
+def refused_runs(monkeypatch):
+    """Composite runs refused at a SOF boundary whose head cycle then
+    replayed alone, as (time, run, why, live start counters, deadline)
+    with ``why`` the checks that failed: "guard", "replayable" (deadline
+    or sample), "far" (a scheduler due time) or "evicted"."""
+    from repro.bus.cycles import CycleMemo
+
+    fits, replay = CycleMemo._fits, CycleMemo._replay
+    pending, refused = [], []
+
+    def spy_fits(self, run, records, counters, deadline):
+        fitted = fits(self, run, records, counters, deadline)
+        if not fitted:
+            why = {check for check, held in (
+                ("guard", run.admits(counters)),
+                ("replayable", self._replayable(run, deadline)),
+                ("far", min(record.far for record in records) >= run.reach),
+                ("evicted", all(part.live for part in run.parts)),
+            ) if not held}
+            pending.append((self.sim.time, run, why, counters, deadline))
+        return fitted
+
+    def spy_replay(self, segment, records):
+        refused.extend(entry for entry in pending
+                       if entry[0] == self.sim.time
+                       and entry[1].parts[0] is segment)
+        pending.clear()
+        replay(self, segment, records)
+
+    monkeypatch.setattr(CycleMemo, "_fits", spy_fits)
+    monkeypatch.setattr(CycleMemo, "_replay", spy_replay)
+    return refused
+
+
+def _fight(name, engine, duration, params=None, prepare=None, chunk=None):
+    """One fight advanced in ``chunk``-bit calls; returns its simulator."""
+    spec = ScenarioSpec(name, params=dict(params or {}), seed=0,
+                        duration_bits=duration, engine=engine)
+    setup = spec.build()
+    if prepare is not None:
+        prepare(setup)
+    policy = spec.run_config().policy()
+    sim = setup.sim
+    while sim.time < duration:
+        sim.advance(min(chunk or duration, duration - sim.time),
+                    policy=policy)
+    return sim
+
+
+def _exact_with_runs(*args, **kwargs):
+    """Run :func:`_fight` under both engines; the fast simulator, after
+    checking the fingerprints match and a composite run replayed."""
+    sim_fast = _fight(*args, "fast", **kwargs)
+    assert _fingerprint(sim_fast) == _fingerprint(_fight(*args, "bit",
+                                                         **kwargs))
+    assert sim_fast.ff_stats.replayed_runs > 0
+    return sim_fast
+
+
+def test_run_refused_across_the_deadline(refused_runs):
+    """An ``advance`` deadline inside a run replays its head cycle."""
+    _exact_with_runs("exp4", duration=20_000, chunk=997)
+    assert any(why == {"replayable"} and time + run.length > deadline
+               for time, run, why, _, deadline in refused_runs)
+
+
+def test_run_refused_across_a_sample(refused_runs):
+    """A snapshot sample inside a run replays its head cycle."""
+    from repro.obs.probe import BusProbe
+    from repro.obs.snapshot import SnapshotRecorder
+
+    runs = {}
+    for engine in ("fast", "bit"):
+        recorders = []
+        sim = _fight("exp4", engine, 20_000, prepare=lambda setup: (
+            recorders.append(setup.sim.add_node(
+                SnapshotRecorder(BusProbe(setup.sim), 1_000)))))
+        fingerprint = _fingerprint(sim)
+        # The probe's fold holds slotted tallies that compare by identity.
+        del fingerprint["nodes"][recorders[0].name]
+        runs[engine] = fingerprint, recorders[0].snapshots, sim.ff_stats
+    assert runs["fast"][:2] == runs["bit"][:2]
+    assert runs["fast"][2].replayed_runs > 0
+    assert any(why == {"replayable"} and time + run.length <= deadline
+               for time, run, why, _, deadline in refused_runs)
+
+
+def test_run_refused_across_a_periodic_due_time(refused_runs):
+    """The defender's periodic 0x173 (due at 25,977 and 50,977) coming due
+    inside a run, or within a capture's look-ahead of its last cycle,
+    replays its head cycle."""
+    _exact_with_runs("exp4", duration=LONG_WINDOW)
+    assert any(why == {"far"} and time < due < time + run.reach
+               for time, run, why, _, _ in refused_runs
+               for due in (25_977, 50_977))
+
+
+def test_run_refused_by_its_guard_after_a_preset(refused_runs):
+    """A TEC preset through the attacker's own counter updates shifts the
+    first episodes' counters: later boundaries meet runs recorded there
+    with live counters that the head cycle's guard admits and the run's
+    does not."""
+    def prepare(setup):
+        _preset(setup.attackers[0].faults, tec=1)
+
+    _exact_with_runs("exp2", duration=EDGE_WINDOW, prepare=prepare)
+    assert any(why == {"guard"} for _, _, why, _, _ in refused_runs)
+
+
+def test_run_refused_across_a_bus_off_recovery(refused_runs):
+    """A run whose recorded bus-off gain would take a live bus-off count
+    to recovery replays its head cycle instead."""
+    _exact_with_runs("multi_attacker", duration=EDGE_WINDOW,
+                     params={"num_attackers": 3})
+    assert any(why == {"guard"} and any(
+        counters[index] > run.guard[1][index]
+        for index in range(2, len(counters), 3))
+        for _, run, why, counters, _ in refused_runs)
+
+
+def test_run_refused_once_a_part_is_evicted(monkeypatch, refused_runs):
+    """A run one of whose later cycles lost its key to memo eviction
+    replays its head cycle alone, where replaying cycle by cycle misses
+    at that key.  State and counters match the engine without runs."""
+    from repro.bus import cycles
+
+    monkeypatch.setattr(cycles, "MEMO_ENTRIES", 48)
+    runs = {}
+    for entries in (cycles.RUN_ENTRIES, 0):
+        monkeypatch.setattr(cycles, "RUN_ENTRIES", entries)
+        sim = _fight("multi_attacker", "fast", 40_000,
+                     params={"num_attackers": 3})
+        stats = sim.ff_stats.as_dict()
+        runs[entries] = (_fingerprint(sim), stats.pop("replayed_runs"),
+                         stats)
+        stats.pop("recorded_runs")
+    (with_runs, replayed, stats), (cycle_by_cycle, none, cycle_stats) = (
+        runs.values())
+    assert with_runs == cycle_by_cycle and stats == cycle_stats
+    assert replayed > 0 and none == 0
+    assert any(why == {"evicted"} for _, _, why, _, _ in refused_runs)
+
+
+def test_run_rebuilds_frames_transmitted_inside_it(monkeypatch):
+    """Two flooders sending one identical frame both win every bit, so
+    their frame bodies stay per-bit and successful transmissions recur
+    inside replayed cycles.  Bursts of one or two higher-priority frames
+    make them lose arbitration once or twice first, so a run headed by
+    that retry ends a frame whose attempt count differs from run to run.
+    A cycle replayed while a run records emits its events before it
+    restores the queues: the run must take each FrameTransmitted's queue
+    entry from the replayed cycle, not from the live queue."""
+    from repro.attacks.dos import DosAttacker
+    from repro.bus.cycles import CycleMemo
+    from repro.bus.events import FrameTransmitted
+    from repro.bus.simulator import CanBusSimulator
+    from repro.node.controller import CanNode
+    from repro.node.scheduler import PeriodicMessage, PeriodicScheduler
+
+    replay = CycleMemo._replay
+    inside_runs = []
+
+    def spy_replay(self, segment, records):
+        if any(recipe[1] is FrameTransmitted for recipe in segment.events):
+            inside_runs.append(segment.cycles > 1
+                               or self._recording is not None)
+        replay(self, segment, records)
+
+    monkeypatch.setattr(CycleMemo, "_replay", spy_replay)
+
+    def flooders(engine):
+        sim = CanBusSimulator()
+        sim.add_nodes(
+            DosAttacker("a", 0x555), DosAttacker("b", 0x555),
+            CanNode("receiver"),
+            CanNode("bursts", scheduler=PeriodicScheduler([
+                PeriodicMessage(0x100, period_bits=900, offset_bits=900),
+                PeriodicMessage(0x101, period_bits=1_400,
+                                offset_bits=1_400)])),
+            # One colliding frame whose data differs: the error that arms
+            # the memo.  It never recovers from the bus-off it ends in.
+            DosAttacker("c", 0x555, payload_fn=lambda _: b"\xff" * 8,
+                        limit=1, auto_recover=False))
+        sim.advance(EDGE_WINDOW, policy="auto" if engine == "fast" else "off")
+        return sim
+
+    sim_fast = flooders("fast")
+    assert _fingerprint(sim_fast) == _fingerprint(flooders("bit"))
+    attempts = {event.attempts for event in sim_fast.events_of(FrameTransmitted)
+                if event.node == "a"}
+    assert {1, 2, 3} <= attempts
+    assert sim_fast.ff_stats.replayed_runs > 0
+    assert any(inside_runs)
 
 
 # ------------------------------------------------- counter-region edges

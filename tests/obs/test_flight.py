@@ -383,6 +383,21 @@ class TestRender:
         assert "TEC trajectory" in text
         assert "decoded wire tail" in text
 
+    def test_render_reports_replayed_cycles_and_runs(self, tmp_path):
+        """A replay-dominated fight's post-mortem says how much of it
+        replayed, from the log's last checkpoint."""
+        path = tmp_path / "run.flight.json"
+        sim = fight_sim()
+        recorder = FlightRecorder(sim, autoflush_path=path, flush_every=16)
+        sim.advance(20_000)
+        recorder.flush(reason="complete")
+        recorder.close()
+        stats = sim.ff_stats
+        assert stats.replayed_runs > 0
+        assert (f"{stats.replayed_segments} replayed cycles "
+                f"({stats.replayed_bits} bits, {stats.replayed_runs} runs)"
+                in render_dump(load_dump(path)))
+
     def test_render_without_wire_decode(self):
         sim = fight_sim()
         recorder = FlightRecorder(sim)
